@@ -233,11 +233,14 @@ uint64_t Aggregator::DrainLane(Lane& lane) {
     drain_decoded_[source].Clear();
     std::vector<broker::RecordView>& views = drain_views_[source];
     try {
-      for (;;) {
+      // PollInto already reads every partition until it reports empty, so a
+      // short batch means this source is drained: stop instead of paying one
+      // more sweep of empty polls (an RPC per partition over TCP).
+      constexpr size_t kPollBatch = 4096;
+      size_t pulled = kPollBatch;
+      while (pulled == kPollBatch) {
         views.clear();
-        if (consumer.PollInto(4096, views) == 0) {
-          break;
-        }
+        pulled = consumer.PollInto(kPollBatch, views);
         proxy::Proxy::DecodeShares(views, drain_decoded_[source]);
       }
     } catch (...) {

@@ -1,6 +1,5 @@
 #include "engine/join.h"
 
-#include <iterator>
 #include <stdexcept>
 
 #include "common/xor_bytes.h"
@@ -35,15 +34,15 @@ void MidJoiner::AddImpl(uint64_t message_id, std::span<const uint8_t> payload,
   if (source >= expected_shares_) {
     throw std::out_of_range("MidJoiner::Add: bad source index");
   }
-  if (completed_mids_.contains(message_id)) {
-    ++stats_.duplicates_dropped;
-    return;
-  }
-  if (expired_mids_.contains(message_id)) {
-    // Straggler for a group already evicted at the watermark: starting a
-    // fresh group could never complete (its siblings are gone) and would
-    // double-count the loss on the next eviction pass.
-    ++stats_.late_dropped;
+  if (const auto it = remembered_.find(message_id); it != remembered_.end()) {
+    if (it->second == Remembered::kCompleted) {
+      ++stats_.duplicates_dropped;
+    } else {
+      // Straggler for a group already evicted at the watermark: starting a
+      // fresh group could never complete (its siblings are gone) and would
+      // double-count the loss on the next eviction pass.
+      ++stats_.late_dropped;
+    }
     return;
   }
   Group& group = pending_[message_id];
@@ -86,7 +85,7 @@ void MidJoiner::AddImpl(uint64_t message_id, std::span<const uint8_t> payload,
     }
     const int64_t first_seen = group.first_seen_ms;
     pending_.erase(message_id);
-    completed_mids_[message_id] = timestamp_ms;
+    Remember(message_id, Remembered::kCompleted, timestamp_ms);
     ++stats_.joined;
     emit_(message_id, std::move(plaintext), first_seen);
   }
@@ -99,7 +98,7 @@ void MidJoiner::EvictStale(int64_t now_ms) {
       ++stats_.evicted_partial;
       const uint64_t mid = it->first;
       const int64_t first_seen = it->second.first_seen_ms;
-      expired_mids_[mid] = now_ms;
+      Remember(mid, Remembered::kExpired, now_ms);
       it = pending_.erase(it);
       if (evict_fn_) {
         evict_fn_(mid, first_seen);
@@ -108,16 +107,21 @@ void MidJoiner::EvictStale(int64_t now_ms) {
       ++it;
     }
   }
-  // Prune the remembered sets behind the same cutoff: a completed MID is
+  // Prune the remembered MIDs behind the same cutoff: a completed MID is
   // forgotten one timeout after its completing share's event time, an
-  // expired MID one timeout after its eviction — keeping the sets bounded
+  // expired MID one timeout after its eviction — keeping the table bounded
   // by roughly two timeouts of distinct MIDs in steady state.
-  for (auto it = completed_mids_.begin(); it != completed_mids_.end();) {
-    it = it->second < cutoff ? completed_mids_.erase(it) : std::next(it);
+  while (!expiry_.empty() && expiry_.begin()->first < cutoff) {
+    for (const uint64_t mid : expiry_.begin()->second) {
+      remembered_.erase(mid);
+    }
+    expiry_.erase(expiry_.begin());
   }
-  for (auto it = expired_mids_.begin(); it != expired_mids_.end();) {
-    it = it->second < cutoff ? expired_mids_.erase(it) : std::next(it);
-  }
+}
+
+void MidJoiner::Remember(uint64_t mid, Remembered what, int64_t stamp_ms) {
+  remembered_.emplace(mid, what);
+  expiry_[stamp_ms].push_back(mid);
 }
 
 }  // namespace privapprox::engine

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -67,19 +68,21 @@ class MidJoiner {
   // (strictly: first_seen < now - timeout, so a group whose last share
   // lands exactly at the cutoff still joins). Evicted MIDs are remembered:
   // a straggler share arriving later is dropped as late (it must not start
-  // a fresh, never-completable group). The remembered completed/expired
-  // sets are pruned behind the same cutoff, so their size is bounded by
-  // the MIDs seen within the last join timeout instead of growing for the
-  // life of the run.
+  // a fresh, never-completable group). Remembered MIDs are pruned behind the
+  // same cutoff, so their number is bounded by the MIDs seen within the last
+  // join timeout instead of growing for the life of the run.
+  //
+  // Cost: one pass over the pending (in-flight partial) groups, plus work
+  // proportional to the remembered MIDs that expire in this call — whole
+  // stamp buckets are popped off the front of the expiry index, and the
+  // remembered table itself is never iterated.
   void EvictStale(int64_t now_ms);
 
   const JoinStats& stats() const { return stats_; }
   size_t pending_groups() const { return pending_.size(); }
-  // Size of the remembered (completed + expired) MID sets — bounded by the
+  // Number of remembered (completed + expired) MIDs — bounded by the
   // pruning in EvictStale; the boundedness test pins it.
-  size_t remembered_mids() const {
-    return completed_mids_.size() + expired_mids_.size();
-  }
+  size_t remembered_mids() const { return remembered_.size(); }
 
  private:
   // One per-source slot. The copying Add stores the payload in `owned` and
@@ -96,24 +99,36 @@ class MidJoiner {
     size_t filled = 0;
     int64_t first_seen_ms = 0;
   };
+  // What a remembered MID was: completed (a later share is a replay) or
+  // expired (a later share is a straggler past the timeout).
+  enum class Remembered : uint8_t { kCompleted, kExpired };
 
   void AddImpl(uint64_t message_id, std::span<const uint8_t> payload,
                int64_t timestamp_ms, size_t source, bool copy);
+  // Files `mid` in the remembered table and under `stamp_ms` in the expiry
+  // index.
+  void Remember(uint64_t mid, Remembered what, int64_t stamp_ms);
 
   size_t expected_shares_;
   int64_t timeout_ms_;
   EmitFn emit_;
   EvictFn evict_fn_;
   std::unordered_map<uint64_t, Group> pending_;
-  // Remembered MIDs, stamped for pruning: completed_mids_ holds the event
-  // time of the completing share (a replay within one timeout of it is
-  // still detected), expired_mids_ the eviction watermark (a straggler
-  // within one timeout of the eviction is still dropped as late). EvictStale
-  // drops entries whose stamp fell behind its cutoff — anything older is
-  // beyond the join horizon anyway: at worst an ancient replay restarts a
-  // group that can never complete and expires again at the next pass.
-  std::unordered_map<uint64_t, int64_t> completed_mids_;
-  std::unordered_map<uint64_t, int64_t> expired_mids_;
+  // Remembered MIDs: one table, so Add refuses a replay or a straggler with
+  // a single probe. A MID is in it at most once — a remembered MID is
+  // refused before it can open a group, and a pending MID is never
+  // remembered — so each entry has exactly one stamp, filed in `expiry_`:
+  // a completion under the completing share's event time (a replay within
+  // one timeout of it is still detected), an eviction under the eviction
+  // watermark (a straggler within one timeout of the eviction is still
+  // dropped as late). EvictStale pops the buckets stamped behind its cutoff
+  // and erases their MIDs from the table, whatever order the stamps arrived
+  // in. Anything older is beyond the join horizon anyway: at worst an
+  // ancient replay restarts a group that can never complete and expires
+  // again at the next pass. The index costs 8 B per remembered MID plus one
+  // map node per distinct stamp (shares of one epoch share its event time).
+  std::unordered_map<uint64_t, Remembered> remembered_;
+  std::map<int64_t, std::vector<uint64_t>> expiry_;
   JoinStats stats_;
 };
 

@@ -5,11 +5,13 @@
 
 #include "aggregator/aggregator.h"
 #include <cmath>
+#include <map>
 
 #include "aggregator/historical.h"
 #include "broker/broker.h"
 #include "client/client.h"
 #include "proxy/proxy.h"
+#include "transport/inproc_bus.h"
 
 namespace privapprox::aggregator {
 namespace {
@@ -360,6 +362,115 @@ TEST(AggregatorTest, ShardMetricsAccountForEveryShare) {
   // of the mean) — loosely bounded, the point is that it was set at all.
   EXPECT_GE(config.shard_imbalance_milli->Value(), 1000);
   EXPECT_LT(config.shard_imbalance_milli->Value(), 3000);
+}
+
+// An InProcessBus that counts Poll calls per topic.
+class PollCountingBus final : public transport::MessageBus {
+ public:
+  explicit PollCountingBus(broker::Broker& broker) : inner_(broker) {}
+
+  void EnsureTopic(const std::string& topic, size_t num_partitions) override {
+    inner_.EnsureTopic(topic, num_partitions);
+  }
+  size_t NumPartitions(const std::string& topic) override {
+    return inner_.NumPartitions(topic);
+  }
+  void Produce(const std::string& topic,
+               std::span<const broker::ProduceView> records) override {
+    inner_.Produce(topic, records);
+  }
+  size_t Poll(const std::string& topic, size_t partition, uint64_t offset,
+              size_t max_records,
+              std::vector<broker::RecordView>& out) override {
+    ++polls[topic];
+    return inner_.Poll(topic, partition, offset, max_records, out);
+  }
+  uint64_t EndOffset(const std::string& topic, size_t partition) override {
+    return inner_.EndOffset(topic, partition);
+  }
+
+  std::map<std::string, size_t> polls;
+
+ private:
+  transport::InProcessBus inner_;
+};
+
+TEST(AggregatorTest, DrainStopsOnceEverySourceIsCaughtUp) {
+  // A drain reads each partition until it reports empty, then stops: it
+  // must not follow up with a sweep that can only come back empty (one RPC
+  // per partition when the bus is remote).
+  const size_t population = 50;
+  broker::Broker broker;
+  PollCountingBus bus(broker);
+  proxy::ProxyConfig proxy_config;
+  proxy_config.num_partitions = 2;
+  proxy::Proxy proxy0(proxy_config, bus);
+  proxy_config.proxy_index = 1;
+  proxy::Proxy proxy1(proxy_config, bus);
+  AggregatorConfig config;
+  config.num_proxies = 2;
+  config.population = population;
+  Aggregator aggregator(config, bus, [](const WindowedResult&) {});
+  aggregator.RegisterQuery(MakeQuery(), NoNoiseParams());
+  for (size_t i = 0; i < population; ++i) {
+    client::Client c = MakeClient(i, 15.0);
+    c.Subscribe(MakeQuery(), NoNoiseParams());
+    const auto answer = c.AnswerQuery(5000);
+    ASSERT_TRUE(answer.has_value());
+    proxy0.Receive(answer->shares[0], answer->timestamp_ms);
+    proxy1.Receive(answer->shares[1], answer->timestamp_ms);
+  }
+  proxy0.Forward();
+  proxy1.Forward();
+  const std::vector<std::string> sources = {"proxy0.out", "proxy1.out"};
+
+  bus.polls.clear();
+  EXPECT_EQ(aggregator.Drain(), population * 2);
+  EXPECT_EQ(aggregator.join_stats().joined, population);
+  for (const std::string& topic : sources) {
+    SCOPED_TRACE(topic);
+    EXPECT_LE(bus.polls[topic], 2 * bus.NumPartitions(topic));
+  }
+
+  // Caught up: one empty poll per partition.
+  bus.polls.clear();
+  EXPECT_EQ(aggregator.Drain(), 0u);
+  for (const std::string& topic : sources) {
+    SCOPED_TRACE(topic);
+    EXPECT_EQ(bus.polls[topic], bus.NumPartitions(topic));
+  }
+}
+
+TEST(AggregatorTest, DrainKeepsPollingWhileBatchesComeBackFull) {
+  // More records per source than one poll batch holds: the drain goes on
+  // past the first full batch and consumes everything. MIDs differ per
+  // source so nothing joins — only the drain itself is under test.
+  constexpr uint64_t kPerSource = 10000;
+  broker::Broker broker;
+  PollCountingBus bus(broker);
+  AggregatorConfig config;
+  config.num_proxies = 2;
+  config.population = 1;
+  Aggregator aggregator(config, bus, [](const WindowedResult&) {});
+  const std::vector<std::string> sources = {"proxy0.out", "proxy1.out"};
+  std::vector<std::vector<uint8_t>> payloads;
+  for (size_t source = 0; source < sources.size(); ++source) {
+    bus.EnsureTopic(sources[source], 4);
+    payloads.clear();
+    std::vector<broker::ProduceView> records;
+    for (uint64_t i = 0; i < kPerSource; ++i) {
+      const uint64_t mid = source * kPerSource + i;
+      std::vector<uint8_t>& payload = payloads.emplace_back(9, 0);
+      for (int b = 0; b < 8; ++b) {
+        payload[b] = static_cast<uint8_t>(mid >> (8 * b));
+      }
+      records.push_back(broker::ProduceView{mid, payload, 5000});
+    }
+    bus.Produce(sources[source], records);
+  }
+  aggregator.RegisterQuery(MakeQuery(), NoNoiseParams());
+  EXPECT_EQ(aggregator.Drain(), kPerSource * sources.size());
+  EXPECT_EQ(aggregator.Drain(), 0u);
 }
 
 // ------------------------------------------------------------- historical

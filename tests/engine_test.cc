@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
+#include <optional>
+#include <random>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "crypto/xor_cipher.h"
@@ -529,6 +534,215 @@ TEST(MidJoinerTest, ManyInterleavedGroups) {
     joiner.Add(shares[1], 1, 1);
   }
   EXPECT_EQ(emitted, 100u);
+}
+
+// The join's semantics as first written, kept as a differential oracle:
+// completed and expired MIDs in two stamped maps, both pruned by a full scan
+// at every watermark.
+class ReferenceJoiner {
+ public:
+  struct Emitted {
+    uint64_t mid;
+    std::vector<uint8_t> plaintext;
+    int64_t first_seen_ms;
+    bool operator==(const Emitted&) const = default;
+  };
+
+  ReferenceJoiner(size_t expected_shares, int64_t timeout_ms)
+      : expected_shares_(expected_shares), timeout_ms_(timeout_ms) {}
+
+  void Add(uint64_t mid, const std::vector<uint8_t>& payload,
+           int64_t timestamp_ms, size_t source) {
+    if (completed_.contains(mid)) {
+      ++stats.duplicates_dropped;
+      return;
+    }
+    if (expired_.contains(mid)) {
+      ++stats.late_dropped;
+      return;
+    }
+    Group& group = pending_[mid];
+    if (group.slots.empty()) {
+      group.slots.resize(expected_shares_);
+      group.first_seen_ms = timestamp_ms;
+    }
+    if (group.slots[source].has_value()) {
+      ++stats.duplicates_dropped;
+      return;
+    }
+    group.slots[source] = payload;
+    if (++group.filled < expected_shares_) {
+      return;
+    }
+    std::vector<uint8_t> plaintext(payload.size(), 0);
+    for (const auto& slot : group.slots) {
+      for (size_t i = 0; i < plaintext.size(); ++i) {
+        plaintext[i] ^= (*slot)[i];
+      }
+    }
+    emitted.push_back({mid, std::move(plaintext), group.first_seen_ms});
+    pending_.erase(mid);
+    completed_[mid] = timestamp_ms;
+    ++stats.joined;
+  }
+
+  void EvictStale(int64_t now_ms) {
+    const int64_t cutoff = now_ms - timeout_ms_;
+    for (auto it = pending_.begin(); it != pending_.end();) {
+      if (it->second.first_seen_ms < cutoff) {
+        ++stats.evicted_partial;
+        evicted.emplace_back(it->first, it->second.first_seen_ms);
+        expired_[it->first] = now_ms;
+        it = pending_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    std::erase_if(completed_,
+                  [&](const auto& entry) { return entry.second < cutoff; });
+    std::erase_if(expired_,
+                  [&](const auto& entry) { return entry.second < cutoff; });
+  }
+
+  size_t pending_groups() const { return pending_.size(); }
+  size_t remembered_mids() const {
+    return completed_.size() + expired_.size();
+  }
+
+  JoinStats stats;
+  std::vector<Emitted> emitted;
+  std::vector<std::pair<uint64_t, int64_t>> evicted;
+
+ private:
+  struct Group {
+    std::vector<std::optional<std::vector<uint8_t>>> slots;
+    size_t filled = 0;
+    int64_t first_seen_ms = 0;
+  };
+
+  size_t expected_shares_;
+  int64_t timeout_ms_;
+  std::unordered_map<uint64_t, Group> pending_;
+  std::unordered_map<uint64_t, int64_t> completed_;
+  std::unordered_map<uint64_t, int64_t> expired_;
+};
+
+TEST(MidJoinerTest, MatchesFullScanReferenceOnRandomizedStreams) {
+  // Drives MidJoiner and the full-scan reference with the same seeded
+  // operation stream: completions and partial groups, same-source
+  // duplicates, replays inside and beyond the horizon, stragglers after
+  // expiry, shares stamped older than earlier ones (fault-delay replay), and
+  // watermarks exactly at a stamp's cutoff, one past it, or behind an
+  // earlier watermark. Every observable must agree after every step.
+  constexpr int64_t kTimeout = 100;
+  constexpr int kSteps = 6000;
+  JoinStats covered;
+  for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const size_t n = 2 + seed % 2;
+    ReferenceJoiner reference(n, kTimeout);
+    std::vector<ReferenceJoiner::Emitted> emitted;
+    std::vector<std::pair<uint64_t, int64_t>> evicted;
+    MidJoiner joiner(n, kTimeout,
+                     [&](uint64_t mid, std::vector<uint8_t> plaintext,
+                         int64_t first_seen_ms) {
+                       emitted.push_back(
+                           {mid, std::move(plaintext), first_seen_ms});
+                     });
+    joiner.set_evict_fn([&](uint64_t mid, int64_t first_seen_ms) {
+      evicted.emplace_back(mid, first_seen_ms);
+    });
+    // Zero-copy payloads must outlive their pending groups.
+    std::deque<std::vector<uint8_t>> parked;
+    std::vector<int64_t> recent_stamps = {0};
+    int64_t clock = 0;
+    uint64_t next_mid = 1;
+    for (int step = 0; step < kSteps; ++step) {
+      SCOPED_TRACE("step=" + std::to_string(step));
+      const uint64_t op = rng() % 100;
+      if (op < 80 || next_mid == 1) {
+        uint64_t mid = next_mid;
+        const uint64_t pick = rng() % 10;
+        if (pick < 4 || next_mid == 1) {
+          ++next_mid;  // a fresh MID
+        } else if (pick < 8) {
+          // A recent MID: a sibling share, a same-source duplicate, a
+          // replay inside the horizon or a straggler after expiry.
+          mid = next_mid - 1 - rng() % std::min<uint64_t>(next_mid - 1, 24);
+        } else {
+          mid = 1 + rng() % (next_mid - 1);  // often beyond the horizon
+        }
+        int64_t stamp = clock;
+        if (rng() % 5 == 0) {
+          // A fault-delayed share replayed with its original, older stamp.
+          stamp -= static_cast<int64_t>(rng() % (3 * kTimeout));
+        }
+        recent_stamps.push_back(stamp);
+        const size_t source = rng() % n;
+        std::vector<uint8_t> payload(3);
+        for (uint8_t& byte : payload) {
+          byte = static_cast<uint8_t>(rng());
+        }
+        reference.Add(mid, payload, stamp, source);
+        if (rng() % 2 == 0) {
+          joiner.Add(Share(mid, payload), stamp, source);
+        } else {
+          parked.push_back(std::move(payload));
+          joiner.Add(mid, parked.back(), stamp, source);
+        }
+      } else if (op < 86) {
+        clock += static_cast<int64_t>(rng() % 40);
+      } else {
+        int64_t now = clock;
+        const int64_t stamp =
+            recent_stamps[recent_stamps.size() - 1 -
+                          rng() % std::min<size_t>(recent_stamps.size(), 64)];
+        switch (rng() % 4) {
+          case 0:
+            now = stamp + kTimeout;  // cutoff == stamp: kept
+            break;
+          case 1:
+            now = stamp + kTimeout + 1;  // one past: pruned
+            break;
+          case 2:
+            now = clock - static_cast<int64_t>(rng() % (2 * kTimeout));
+            break;
+          default:
+            break;
+        }
+        reference.EvictStale(now);
+        joiner.EvictStale(now);
+      }
+
+      const JoinStats& got = joiner.stats();
+      ASSERT_EQ(got.joined, reference.stats.joined);
+      ASSERT_EQ(got.duplicates_dropped, reference.stats.duplicates_dropped);
+      ASSERT_EQ(got.evicted_partial, reference.stats.evicted_partial);
+      ASSERT_EQ(got.late_dropped, reference.stats.late_dropped);
+      ASSERT_EQ(joiner.pending_groups(), reference.pending_groups());
+      ASSERT_EQ(joiner.remembered_mids(), reference.remembered_mids());
+      // Emissions in order; evictions as a set (both sides walk their own
+      // pending hash map).
+      ASSERT_EQ(emitted, reference.emitted);
+      emitted.clear();
+      reference.emitted.clear();
+      std::sort(evicted.begin(), evicted.end());
+      std::sort(reference.evicted.begin(), reference.evicted.end());
+      ASSERT_EQ(evicted, reference.evicted);
+      evicted.clear();
+      reference.evicted.clear();
+    }
+    covered.joined += joiner.stats().joined;
+    covered.duplicates_dropped += joiner.stats().duplicates_dropped;
+    covered.evicted_partial += joiner.stats().evicted_partial;
+    covered.late_dropped += joiner.stats().late_dropped;
+  }
+  // The stream exercised every path the remembered table guards.
+  EXPECT_GT(covered.joined, 0u);
+  EXPECT_GT(covered.duplicates_dropped, 0u);
+  EXPECT_GT(covered.evicted_partial, 0u);
+  EXPECT_GT(covered.late_dropped, 0u);
 }
 
 // ----------------------------------------------------------------- pipeline
