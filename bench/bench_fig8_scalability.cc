@@ -19,6 +19,7 @@
 #include "crypto/xor_cipher.h"
 #include "net/topology.h"
 #include "proxy/proxy.h"
+#include "transport/inproc_bus.h"
 
 using namespace privapprox;
 
@@ -31,9 +32,10 @@ constexpr size_t kRecords = 200000;
 // `cores` workers.
 double MeasureProxyThroughput(size_t answer_bits, size_t cores) {
   broker::Broker b;
+  transport::InProcessBus bus(b);
   // Plenty of partitions so parallel workers do not serialize on partition
   // locks (Kafka deployments over-partition for the same reason).
-  proxy::Proxy proxy(proxy::ProxyConfig{0, 64}, b);
+  proxy::Proxy proxy(proxy::ProxyConfig{0, 64}, bus);
   crypto::XorSplitter splitter(2, crypto::ChaCha20Rng::FromSeed(1, 0));
   const std::vector<uint8_t> payload(
       crypto::AnswerMessage::WireSize(answer_bits), 0x77);
@@ -55,8 +57,9 @@ double MeasureProxyThroughput(size_t answer_bits, size_t cores) {
 // model extrapolates, see main()).
 double MeasureAggregatorThroughput(size_t answer_bits, size_t /*cores*/) {
   broker::Broker b;
-  proxy::Proxy proxy0(proxy::ProxyConfig{0, 8}, b);
-  proxy::Proxy proxy1(proxy::ProxyConfig{1, 8}, b);
+  transport::InProcessBus bus(b);
+  proxy::Proxy proxy0(proxy::ProxyConfig{0, 8}, bus);
+  proxy::Proxy proxy1(proxy::ProxyConfig{1, 8}, bus);
   const core::Query query =
       core::QueryBuilder()
           .WithId(1)
@@ -71,8 +74,9 @@ double MeasureAggregatorThroughput(size_t answer_bits, size_t /*cores*/) {
   aggregator::AggregatorConfig config;
   config.num_proxies = 2;
   config.population = kRecords;
-  aggregator::Aggregator agg(config, query, params, b,
+  aggregator::Aggregator agg(config, bus,
                              [](const aggregator::WindowedResult&) {});
+  agg.RegisterQuery(query, params);
   crypto::XorSplitter splitter(2, crypto::ChaCha20Rng::FromSeed(2, 0));
   BitVector answer(answer_bits);
   answer.Set(0, true);

@@ -46,7 +46,6 @@
 #include "engine/window.h"
 #include "metrics/metrics.h"
 #include "proxy/proxy.h"
-#include "transport/inproc_bus.h"
 #include "transport/message_bus.h"
 
 namespace privapprox::aggregator {
@@ -83,7 +82,7 @@ struct AggregatorConfig {
   // imbalance gauge holds max-shard-routed * 1000 / mean-shard-routed
   // (1000 = perfectly balanced), updated after every feed pass. These
   // config-level instruments serve lanes that do not bring their own
-  // (QueryLaneOptions) — i.e. the single-query compatibility path.
+  // (QueryLaneOptions), e.g. one registered with default options.
   std::vector<metrics::Counter*> shard_shares_total;
   std::vector<metrics::Counter*> shard_joined_total;
   metrics::Gauge* shard_imbalance_milli = nullptr;
@@ -123,20 +122,10 @@ class Aggregator {
   using AnswerTapFn = std::function<void(int64_t, const BitVector&)>;
 
   // Coordinator with no lanes yet; add queries with RegisterQuery. The bus
-  // must outlive the aggregator; in a daemon it is a TopicRouterBus over
-  // the TcpBusClients dialed at each proxy daemon.
+  // must outlive the aggregator. In process it is a transport::InProcessBus
+  // over the shared broker; in a daemon it is a TopicRouterBus over the
+  // TcpBusClients dialed at each proxy daemon.
   Aggregator(AggregatorConfig config, transport::MessageBus& bus,
-             ResultFn on_result);
-  // In-process convenience: wraps `broker` in an internally owned
-  // InProcessBus.
-  Aggregator(AggregatorConfig config, broker::Broker& broker,
-             ResultFn on_result);
-
-  // Single-query compatibility: coordinator plus one lane for `query` over
-  // the legacy "proxy<i>.out" topics, using the config-level shard
-  // instruments.
-  Aggregator(AggregatorConfig config, const core::Query& query,
-             const core::ExecutionParams& params, broker::Broker& broker,
              ResultFn on_result);
 
   // Adds a lane for `query`. Throws std::invalid_argument for QID 0, a QID
@@ -156,9 +145,7 @@ class Aggregator {
   // windows de-bias and error-estimate with the new (s, p, q). Windows
   // already buffered keep their answers; their estimates use the new
   // parameters, which is the correct choice once clients have switched.
-  // The QID-less overload is the single-lane shim.
   void UpdateParams(uint64_t query_id, const core::ExecutionParams& params);
-  void UpdateParams(const core::ExecutionParams& params);
 
   // Drains every lane's source topics through join -> decrypt -> window,
   // lanes in ascending-QID order. Returns the number of shares consumed.
@@ -178,9 +165,9 @@ class Aggregator {
   std::vector<std::pair<std::string, std::vector<uint64_t>>> SourceOffsets()
       const;
 
-  // --- Streaming-mode consumption (system/system.cc) -------------------
+  // --- Streaming consumption (system/system.cc) ------------------------
   //
-  // The streaming epoch pipeline calls ConsumeShardBatch from its single
+  // The epoch pipeline calls ConsumeShardBatch from its single
   // aggregator-stage thread, once per (query, shard, proxy) as forward
   // notifications arrive. It reads exactly the records proxy `source`
   // appended to the query's lane for shard `shard_seq`
@@ -194,12 +181,9 @@ class Aggregator {
   //
   // Not thread-safe; not to be interleaved with Drain() mid-epoch. (The
   // internal fan-out to join shards may borrow the pool, but callers see a
-  // single-threaded surface.) The QID-less overload is the single-lane
-  // shim.
+  // single-threaded surface.)
   uint64_t ConsumeShardBatch(uint64_t query_id, size_t source,
                              uint64_t shard_seq,
-                             const std::vector<uint32_t>& partition_counts);
-  uint64_t ConsumeShardBatch(size_t source, uint64_t shard_seq,
                              const std::vector<uint32_t>& partition_counts);
 
   // Ends one streaming epoch: resets every lane's shard sequence
@@ -213,11 +197,9 @@ class Aggregator {
   // the MIDs its injector knows can never join (dropped or corrupted
   // shares, failed failovers) at the end of each epoch, per query. Each
   // (query, MID) is counted once — a later join-group expiry of the same
-  // MID does not double-widen. The QID-less overload is the single-lane
-  // shim.
+  // MID does not double-widen.
   void NoteFaultLostMids(uint64_t query_id, std::span<const uint64_t> mids,
                          int64_t now_ms);
-  void NoteFaultLostMids(std::span<const uint64_t> mids, int64_t now_ms);
 
   // Advances the event-time watermark on every lane: evicts stale join
   // groups and fires complete windows, shard by shard in shard order,
@@ -231,7 +213,6 @@ class Aggregator {
   // lane has seen so far (engine/watermark.h). Lanes run independent
   // watermarks, so a stalled query never holds back another's windows.
   void AdvanceWatermarkToStream();
-  int64_t StreamWatermark() const;  // single-lane shim
 
   // Fires everything left (end of stream), all lanes.
   void Flush();
@@ -283,8 +264,8 @@ class Aggregator {
     // captures its Shard*.
     std::vector<std::unique_ptr<Shard>> shards;
     engine::BoundedOutOfOrdernessWatermark stream_watermark;
-    // Streaming-mode reorder buffer: shards decoded but not yet fed to the
-    // join, keyed by shard sequence number. Bounded in practice by the
+    // ConsumeShardBatch's reorder buffer: shards decoded but not yet fed to
+    // the join, keyed by shard sequence number. Bounded in practice by the
     // pipeline's channel capacities (upstream backpressure).
     std::map<uint64_t, StreamSlot> stream_pending;
     uint64_t stream_next_seq = 0;
@@ -310,8 +291,6 @@ class Aggregator {
           stream_watermark(config.watermark_out_of_orderness_ms) {}
   };
 
-  Lane& SingleLane(const char* caller);
-  const Lane& SingleLane(const char* caller) const;
   Lane& GetLane(uint64_t query_id, const char* caller);
   size_t ShardOf(uint64_t mid) const;
   uint64_t DrainLane(Lane& lane);
@@ -337,10 +316,7 @@ class Aggregator {
                              const engine::Window& window) const;
 
   AggregatorConfig config_;
-  // Set only by the Broker& convenience constructors; declared before bus_
-  // so the pointer below can bind to it.
-  std::unique_ptr<transport::InProcessBus> owned_bus_;
-  transport::MessageBus* bus_ = nullptr;  // never null after construction
+  transport::MessageBus* bus_;
   ResultFn on_result_;
   AnswerTapFn answer_tap_;
   std::map<uint64_t, std::unique_ptr<Lane>> lanes_;  // QID -> lane, ascending

@@ -26,7 +26,7 @@ ProxyDaemon::ProxyDaemon(ProxyDaemonConfig config) : config_(std::move(config)) 
   proxy_config.forwarded_total = &registry_.GetCounter(
       "privapprox_proxy_forwarded_total",
       "Records the proxy moved inbound -> outbound", labels);
-  proxy_ = std::make_unique<proxy::Proxy>(proxy_config, broker_);
+  proxy_ = std::make_unique<proxy::Proxy>(proxy_config, bus_);
 
   if (!config_.data_dir.empty()) {
     RecoverLanes(recovered_topics);

@@ -43,6 +43,7 @@
 #include "metrics/metrics.h"
 #include "proxy/proxy.h"
 #include "storage/partition_log.h"
+#include "transport/inproc_bus.h"
 #include "transport/tcp_bus.h"
 
 namespace privapprox::deploy {
@@ -84,6 +85,9 @@ class ProxyDaemon {
   ProxyDaemonConfig config_;
   metrics::Registry registry_;
   broker::Broker broker_;
+  // The proxy's own view of the local broker (remote peers reach the same
+  // topics through server_).
+  transport::InProcessBus bus_{broker_};
   std::unique_ptr<proxy::Proxy> proxy_;
   std::unique_ptr<transport::TcpBusServer> server_;
 };

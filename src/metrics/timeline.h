@@ -1,7 +1,7 @@
 // Per-stage span tracing for the epoch pipeline.
 //
 // An EpochTimeline records named start/stop spans (client answer shards,
-// per-proxy forwards, aggregator consumes, barrier phases) and dumps them as
+// per-proxy forwards, aggregator consumes, whole epochs) and dumps them as
 // chrome://tracing / Perfetto-compatible JSON, so one epoch's stage overlap
 // is visible on a real timeline instead of inferred from aggregate
 // throughput numbers.

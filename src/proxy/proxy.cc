@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 namespace privapprox::proxy {
 
@@ -16,18 +17,7 @@ int64_t NowNs() {
 }  // namespace
 
 Proxy::Proxy(ProxyConfig config, transport::MessageBus& bus)
-    : config_(config), bus_(&bus) {
-  Init();
-}
-
-Proxy::Proxy(ProxyConfig config, broker::Broker& broker)
-    : config_(config),
-      owned_bus_(std::make_unique<transport::InProcessBus>(broker)),
-      bus_(owned_bus_.get()) {
-  Init();
-}
-
-void Proxy::Init() {
+    : config_(std::move(config)), bus_(&bus) {
   prefix_ = config_.topic_prefix.empty()
                 ? "proxy" + std::to_string(config_.proxy_index)
                 : config_.topic_prefix;

@@ -18,9 +18,7 @@
 // Transport: the proxy speaks transport::MessageBus, never a broker
 // directly. In process that is an InProcessBus over the shared broker; in a
 // proxy daemon the same code runs against the daemon's local broker while
-// remote peers reach the topics over TCP. The Broker& constructor is the
-// in-process convenience: it owns an InProcessBus internally so existing
-// call sites keep working.
+// remote peers reach the topics over TCP.
 //
 // API shape: span-first. Batched entries take spans of non-owning views
 // (arena- or slab-backed) and decode produces spans into broker slab
@@ -41,7 +39,6 @@
 #include "common/thread_pool.h"
 #include "crypto/message.h"
 #include "metrics/metrics.h"
-#include "transport/inproc_bus.h"
 #include "transport/message_bus.h"
 
 namespace privapprox::proxy {
@@ -70,11 +67,9 @@ struct ProxyConfig {
 
 class Proxy {
  public:
-  // The bus must outlive the proxy.
+  // The bus must outlive the proxy. In process, it is a
+  // transport::InProcessBus over the shared broker.
   Proxy(ProxyConfig config, transport::MessageBus& bus);
-  // In-process convenience: wraps `broker` in an internally owned
-  // InProcessBus.
-  Proxy(ProxyConfig config, broker::Broker& broker);
 
   size_t index() const { return config_.proxy_index; }
   const std::string& in_topic() const { return in_topic_; }
@@ -128,7 +123,7 @@ class Proxy {
   uint64_t Forward();
   uint64_t ForwardLanes();
 
-  // Streaming-mode entry (system/system.cc): appends one shard batch to the
+  // Epoch-pipeline entry (system/system.cc): appends one shard batch to the
   // inbound topic, immediately forwards everything pending (the batch plus
   // any records produced out of band), and returns the number of records
   // forwarded per *outbound* partition. The streaming aggregator consumes
@@ -209,13 +204,8 @@ class Proxy {
   void NoteReceived(uint64_t n);
   void NoteForwarded(uint64_t n);
 
-  void Init();
-
   ProxyConfig config_;
-  // Set only by the Broker& convenience constructor; declared before bus_
-  // so the pointer below can bind to it.
-  std::unique_ptr<transport::InProcessBus> owned_bus_;
-  transport::MessageBus* bus_ = nullptr;  // never null after construction
+  transport::MessageBus* bus_;
   std::string prefix_;
   std::string out_prefix_;
   std::string in_topic_;

@@ -4,9 +4,15 @@
 // The driving model is discrete epochs: the harness feeds client databases,
 // then calls RunEpoch(now) once per answer period. Each epoch runs the full
 // pipeline — sampling/randomization/splitting at every client, transmission
-// through every proxy, join/decrypt/window at the aggregator — and window
-// results surface through the analyst callback once the event-time
-// watermark passes their end.
+// through every proxy, join/decrypt/window at the aggregator — as one
+// streaming dataflow: client shards, per-proxy forwarding and aggregator
+// consumption are concurrent stages joined by bounded channels
+// (common/channel.h), so a shard's shares reach the proxies and the join
+// while later shards are still answering. Reorder buffers keep every topic
+// append and join feed in a fixed order, so results are bit-identical at
+// any worker count, channel depth and shard size. Window results surface
+// through the analyst callback once the event-time watermark passes their
+// end.
 //
 // Multi-query: one system hosts N concurrent queries over a single client
 // fleet, broker, proxy tier, and aggregator. Each submitted query gets its
@@ -57,40 +63,21 @@
 
 namespace privapprox::system {
 
-// How RunEpoch executes the answer path.
-enum class EpochPipelineMode {
-  // Four globally barriered phases: answer all clients, merge, forward all
-  // proxies, drain. Simple, but no phase overlaps another.
-  kBarrier,
-  // Stage/channel dataflow (common/channel.h): client shards, per-proxy
-  // forwarding, and aggregator decode run as concurrent stages connected by
-  // bounded channels. A shard's share batch flows to the proxies the moment
-  // it is produced; proxies forward while later shards are still answering;
-  // the aggregator decodes and joins batches as they arrive, with a reorder
-  // buffer keeping the join feed order deterministic. Results are
-  // bit-identical to kBarrier (tests/parallel_epoch_test.cc).
-  kStreaming,
-};
-
 // Epoch pipeline execution knobs.
 struct PipelineOptions {
   // Worker threads for the epoch pipeline (client answering, per-proxy
-  // forwarding, per-source aggregator decode). 0 = hardware_concurrency.
-  // Results are byte-identical for every value: workers fill per-client
-  // slots and the merge into proxy topics happens in client-id order.
+  // forwarding, per-shard join feeding). 0 = hardware_concurrency.
+  // Results are byte-identical for every value: any worker may answer a
+  // shard, but each proxy appends shards in shard order, so topic contents
+  // stay in client-id order.
   size_t num_worker_threads = 0;
-  // Answer-path execution shape (see EpochPipelineMode). Streaming is the
-  // default; kBarrier remains for comparison benchmarks and as the
-  // reference semantics.
-  EpochPipelineMode mode = EpochPipelineMode::kStreaming;
-  // Streaming mode: capacity (in shard batches) of each inter-stage
-  // channel — the backpressure knob. Larger values let fast stages run
-  // further ahead; 1 degenerates to near-lockstep hand-off.
+  // Capacity (in shard batches) of each inter-stage channel — the
+  // backpressure knob. Larger values let fast stages run further ahead; 1
+  // degenerates to near-lockstep hand-off.
   size_t depth = 8;
-  // Streaming mode: clients per shard batch. Fixed (not derived from the
-  // worker count) so the dataflow — and therefore every byte in the broker
-  // and every join feed position — is identical at any thread count.
-  // 0 = default (1024).
+  // Clients per shard batch. Fixed (not derived from the worker count) so
+  // the dataflow — and therefore every byte in the broker and every join
+  // feed position — is identical at any thread count. 0 = default (1024).
   size_t shard_size = 0;
 };
 
@@ -175,27 +162,9 @@ struct SystemConfig {
   // build without the fault layer — results, broker topic contents, and
   // EpochStats (the bit-identity invariant tests/fault_test.cc pins).
   // A set plan derives every fault from (plan.seed, QID, MID, proxy)
-  // hashes, so both pipeline modes see identical faults at any worker
-  // count and every query gets an independent replayable fault sequence.
+  // hashes, so every worker count sees identical faults and every query
+  // gets an independent replayable fault sequence.
   std::optional<fault::FaultPlan> fault;
-
-  // --- Deprecated aliases (pre-observability flat names) ----------------
-  // Kept for one release so existing call sites keep compiling; a value
-  // set here is folded into the nested struct by Resolved() unless the
-  // nested field was itself changed from its default (nested wins). Use
-  // `historical.*`, `pipeline.*` instead.
-  bool enable_historical = false;            // -> historical.enabled
-  std::string historical_dir;                // -> historical.dir
-  size_t num_worker_threads = 0;             // -> pipeline.num_worker_threads
-  EpochPipelineMode pipeline_mode =
-      EpochPipelineMode::kStreaming;         // -> pipeline.mode
-  size_t pipeline_depth = 8;                 // -> pipeline.depth
-  size_t stream_shard_size = 0;              // -> pipeline.shard_size
-
-  // Returns a copy with every legacy alias folded into its nested field.
-  // PrivApproxSystem resolves its config on construction; call this
-  // directly when reading a config that may still use the flat names.
-  SystemConfig Resolved() const;
 };
 
 struct EpochStats {
@@ -264,10 +233,9 @@ class PrivApproxSystem {
   const core::ExecutionParams& query_params(uint64_t query_id) const;
   core::PrivacyBudgetManager& budget_manager() { return budget_manager_; }
 
-  // Runs one answering epoch at `now_ms`, driving every registered query.
-  // Dispatches on SystemConfig::pipeline.mode; both modes produce
-  // bit-identical results, topic contents, and stats. The returned stats
-  // are the epoch's delta of the registry's core pipeline counters.
+  // Runs one answering epoch at `now_ms`, driving every registered query
+  // through the streaming dataflow (see the header comment). The returned
+  // stats are the epoch's delta of the registry's core pipeline counters.
   EpochStats RunEpoch(int64_t now_ms);
 
   // Advances the watermark on every query lane; fires completed windows
@@ -281,8 +249,9 @@ class PrivApproxSystem {
   }
   std::vector<aggregator::WindowedResult> TakeResults();
 
-  // Bytes produced by clients into proxy inbound topics (all lanes) so far
-  // — the client->proxy network traffic of Fig 9a.
+  // Bytes produced by clients into proxy inbound topics so far — every
+  // lane of every primary and, under a failover plan, every standby — the
+  // client->proxy network traffic of Fig 9a.
   uint64_t ClientToProxyBytes() const;
 
   // Historical analytics over everything collected so far (§3.3.1);
@@ -319,7 +288,6 @@ class PrivApproxSystem {
     metrics::Counter* shares_sent_total = nullptr;
   };
 
-  void RunEpochBarrier(int64_t now_ms);
   void RunEpochStreaming(int64_t now_ms);
   void ReplayDeferredShares();
   void DistributeAnnouncement(const core::Query& query,

@@ -38,16 +38,17 @@ struct Harness {
   explicit Harness(size_t population, core::ExecutionParams params,
                    bool inverted = false, size_t num_shards = 1)
       : query(MakeQuery()),
-        proxy0(proxy::ProxyConfig{0, 2}, broker),
-        proxy1(proxy::ProxyConfig{1, 2}, broker) {
+        proxy0(proxy::ProxyConfig{0, 2}, bus),
+        proxy1(proxy::ProxyConfig{1, 2}, bus) {
     AggregatorConfig config;
     config.num_proxies = 2;
     config.population = population;
     config.answers_inverted = inverted;
     config.num_shards = num_shards;
     aggregator = std::make_unique<Aggregator>(
-        config, query, params, broker,
+        config, bus,
         [this](const WindowedResult& r) { results.push_back(r); });
+    aggregator->RegisterQuery(query, params);
   }
 
   // Ships one client answer (already-built shares) through both proxies.
@@ -63,6 +64,7 @@ struct Harness {
   }
 
   broker::Broker broker;
+  transport::InProcessBus bus{broker};
   core::Query query;
   proxy::Proxy proxy0;
   proxy::Proxy proxy1;
@@ -226,23 +228,19 @@ TEST(AggregatorTest, InvertedModeRecoversYesCounts) {
 
 TEST(AggregatorTest, RejectsBadConfig) {
   broker::Broker b;
-  proxy::Proxy p0(proxy::ProxyConfig{0, 2}, b);
-  proxy::Proxy p1(proxy::ProxyConfig{1, 2}, b);
+  transport::InProcessBus bus(b);
   AggregatorConfig config;
   config.num_proxies = 1;
   config.population = 10;
-  EXPECT_THROW(Aggregator(config, MakeQuery(), NoNoiseParams(), b,
-                          [](const WindowedResult&) {}),
+  EXPECT_THROW(Aggregator(config, bus, [](const WindowedResult&) {}),
                std::invalid_argument);
   config.num_proxies = 2;
   config.population = 0;
-  EXPECT_THROW(Aggregator(config, MakeQuery(), NoNoiseParams(), b,
-                          [](const WindowedResult&) {}),
+  EXPECT_THROW(Aggregator(config, bus, [](const WindowedResult&) {}),
                std::invalid_argument);
   config.population = 10;
   config.num_shards = 0;
-  EXPECT_THROW(Aggregator(config, MakeQuery(), NoNoiseParams(), b,
-                          [](const WindowedResult&) {}),
+  EXPECT_THROW(Aggregator(config, bus, [](const WindowedResult&) {}),
                std::invalid_argument);
 }
 
@@ -251,12 +249,13 @@ TEST(AggregatorTest, RejectsDuplicateQueryRegistration) {
   // second registration under the same QID would silently cross two
   // queries' streams. The coordinator must reject it up front.
   broker::Broker b;
-  proxy::Proxy p0(proxy::ProxyConfig{0, 2}, b);
-  proxy::Proxy p1(proxy::ProxyConfig{1, 2}, b);
+  transport::InProcessBus bus(b);
+  proxy::Proxy p0(proxy::ProxyConfig{0, 2}, bus);
+  proxy::Proxy p1(proxy::ProxyConfig{1, 2}, bus);
   AggregatorConfig config;
   config.num_proxies = 2;
   config.population = 10;
-  Aggregator agg(config, b, [](const WindowedResult&) {});
+  Aggregator agg(config, bus, [](const WindowedResult&) {});
   agg.RegisterQuery(MakeQuery(), NoNoiseParams());
   EXPECT_THROW(agg.RegisterQuery(MakeQuery(), NoNoiseParams()),
                std::invalid_argument);
@@ -341,8 +340,9 @@ TEST(AggregatorTest, ShardMetricsAccountForEveryShare) {
   }
   config.shard_imbalance_milli = &registry.GetGauge("shard_imbalance", "");
   harness.aggregator = std::make_unique<Aggregator>(
-      config, harness.query, NoNoiseParams(), harness.broker,
+      config, harness.bus,
       [&harness](const WindowedResult& r) { harness.results.push_back(r); });
+  harness.aggregator->RegisterQuery(harness.query, NoNoiseParams());
   for (size_t i = 0; i < population; ++i) {
     client::Client c = MakeClient(i, 15.0);
     c.Subscribe(harness.query, NoNoiseParams());

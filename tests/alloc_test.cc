@@ -244,7 +244,6 @@ void ExpectStreamingEpochAllocationsFlat(size_t agg_shards,
   config.num_proxies = kNumShares;
   config.seed = 7;
   config.pipeline.num_worker_threads = 1;
-  config.pipeline.mode = system::EpochPipelineMode::kStreaming;
   config.aggregator.num_shards = agg_shards;
   system::PrivApproxSystem system(config);
   for (size_t i = 0; i < config.num_clients; ++i) {

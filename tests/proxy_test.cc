@@ -5,13 +5,15 @@
 
 #include "broker/broker.h"
 #include "proxy/proxy.h"
+#include "transport/inproc_bus.h"
 
 namespace privapprox::proxy {
 namespace {
 
 TEST(ProxyTest, CreatesItsTopics) {
   broker::Broker b;
-  Proxy proxy(ProxyConfig{0, 2}, b);
+  transport::InProcessBus bus(b);
+  Proxy proxy(ProxyConfig{0, 2}, bus);
   EXPECT_TRUE(b.HasTopic("proxy0.in"));
   EXPECT_TRUE(b.HasTopic("proxy0.out"));
   EXPECT_EQ(proxy.index(), 0u);
@@ -36,7 +38,8 @@ TEST(ProxyTest, DecodeOfEmptyPayloadShare) {
 
 TEST(ProxyTest, ForwardMovesEverythingInToOut) {
   broker::Broker b;
-  Proxy proxy(ProxyConfig{1, 4}, b);
+  transport::InProcessBus bus(b);
+  Proxy proxy(ProxyConfig{1, 4}, bus);
   for (uint64_t mid = 0; mid < 100; ++mid) {
     proxy.Receive(crypto::MessageShare{mid, {static_cast<uint8_t>(mid)}},
                   static_cast<int64_t>(mid));
@@ -57,7 +60,8 @@ TEST(ProxyTest, ForwardMovesEverythingInToOut) {
 
 TEST(ProxyTest, ForwardPreservesTimestamps) {
   broker::Broker b;
-  Proxy proxy(ProxyConfig{0, 1}, b);
+  transport::InProcessBus bus(b);
+  Proxy proxy(ProxyConfig{0, 1}, bus);
   proxy.Receive(crypto::MessageShare{1, {9}}, 12345);
   proxy.Forward();
   broker::Consumer consumer(b.GetTopic("proxy0.out"));
@@ -68,13 +72,15 @@ TEST(ProxyTest, ForwardPreservesTimestamps) {
 
 TEST(ProxyTest, ForwardOnEmptyQueueIsZero) {
   broker::Broker b;
-  Proxy proxy(ProxyConfig{0, 2}, b);
+  transport::InProcessBus bus(b);
+  Proxy proxy(ProxyConfig{0, 2}, bus);
   EXPECT_EQ(proxy.Forward(), 0u);
 }
 
 TEST(ProxyTest, RepeatedForwardOnlyMovesNewRecords) {
   broker::Broker b;
-  Proxy proxy(ProxyConfig{0, 2}, b);
+  transport::InProcessBus bus(b);
+  Proxy proxy(ProxyConfig{0, 2}, bus);
   proxy.Receive(crypto::MessageShare{1, {1}}, 0);
   EXPECT_EQ(proxy.Forward(), 1u);
   EXPECT_EQ(proxy.Forward(), 0u);
@@ -85,7 +91,8 @@ TEST(ProxyTest, RepeatedForwardOnlyMovesNewRecords) {
 
 TEST(ProxyTest, ParallelForwardMovesEverything) {
   broker::Broker b;
-  Proxy proxy(ProxyConfig{0, 4}, b);
+  transport::InProcessBus bus(b);
+  Proxy proxy(ProxyConfig{0, 4}, bus);
   for (uint64_t mid = 0; mid < 5000; ++mid) {
     proxy.Receive(crypto::MessageShare{mid, {0, 1, 2}}, 0);
   }
@@ -101,8 +108,9 @@ TEST(ProxyTest, ParallelForwardMovesEverything) {
 
 TEST(ProxyTest, TwoProxiesAreIndependent) {
   broker::Broker b;
-  Proxy p0(ProxyConfig{0, 2}, b);
-  Proxy p1(ProxyConfig{1, 2}, b);
+  transport::InProcessBus bus(b);
+  Proxy p0(ProxyConfig{0, 2}, bus);
+  Proxy p1(ProxyConfig{1, 2}, bus);
   p0.Receive(crypto::MessageShare{1, {1}}, 0);
   EXPECT_EQ(p0.Forward(), 1u);
   EXPECT_EQ(p1.Forward(), 0u);  // p1 never saw the share

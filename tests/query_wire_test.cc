@@ -7,6 +7,7 @@
 #include "client/client.h"
 #include "core/query_wire.h"
 #include "proxy/proxy.h"
+#include "transport/inproc_bus.h"
 
 namespace privapprox::core {
 namespace {
@@ -101,7 +102,8 @@ TEST(QueryWireTest, GarbageThrows) {
 
 TEST(QueryDistributionTest, AnnouncementReachesClientThroughProxy) {
   broker::Broker b;
-  proxy::Proxy proxy(proxy::ProxyConfig{0, 2}, b);
+  transport::InProcessBus bus(b);
+  proxy::Proxy proxy(proxy::ProxyConfig{0, 2}, bus);
   const QueryAnnouncement ann{MakeQuery(), MakeParams()};
   proxy.AnnounceQuery(SerializeAnnouncement(ann), 0);
   EXPECT_EQ(proxy.ForwardQueries(), 1u);
