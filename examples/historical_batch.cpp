@@ -1,5 +1,5 @@
 // Historical analytics (paper §3.3.1): stream for several epochs while
-// teeing joined answers into the response store, then run batch queries
+// teeing joined answers into the historical store, then run batch queries
 // over past time ranges under different aggregator-side sampling budgets
 // (the "spot market" knob).
 //

@@ -319,7 +319,7 @@ void Aggregator::MergeShardDeltas(Lane& lane) {
     }
     if (answer_tap_) {
       for (const auto& [ts, answer] : shard.tap) {
-        answer_tap_(ts, answer);
+        answer_tap_(lane.query.query_id, ts, answer);
       }
     }
     shard.tap.clear();

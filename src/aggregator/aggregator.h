@@ -118,8 +118,8 @@ class Aggregator {
  public:
   using ResultFn = std::function<void(const WindowedResult&)>;
   // Optional tee of every joined randomized answer (for historical
-  // analytics): (timestamp, answer bit-vector).
-  using AnswerTapFn = std::function<void(int64_t, const BitVector&)>;
+  // analytics): (QID of the joining lane, timestamp, answer bit-vector).
+  using AnswerTapFn = std::function<void(uint64_t, int64_t, const BitVector&)>;
 
   // Coordinator with no lanes yet; add queries with RegisterQuery. The bus
   // must outlive the aggregator. In process it is a transport::InProcessBus

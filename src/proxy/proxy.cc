@@ -192,15 +192,6 @@ uint64_t Proxy::ForwardLanes() {
 }
 
 std::vector<uint32_t> Proxy::ReceiveAndForwardShard(
-    std::span<const broker::ProduceView> records) {
-  bus_->Produce(in_topic_, records);
-  NoteReceived(records.size());
-  std::vector<uint32_t> counts(config_.num_partitions, 0);
-  ForwardPendingViews(*consumer_, out_topic_, &counts);
-  return counts;
-}
-
-std::vector<uint32_t> Proxy::ReceiveAndForwardShard(
     uint64_t query_id, std::span<const broker::ProduceView> records) {
   Lane& lane = GetLane(query_id, "Proxy::ReceiveAndForwardShard");
   bus_->Produce(lane.in_topic, records);

@@ -123,19 +123,17 @@ class Proxy {
   uint64_t Forward();
   uint64_t ForwardLanes();
 
-  // Epoch-pipeline entry (system/system.cc): appends one shard batch to the
-  // inbound topic, immediately forwards everything pending (the batch plus
-  // any records produced out of band), and returns the number of records
-  // forwarded per *outbound* partition. The streaming aggregator consumes
+  // Epoch-pipeline entry (system/system.cc): appends one shard batch to
+  // `query_id`'s lane inbound topic (the lane must exist), immediately
+  // forwards everything pending on that lane (the batch plus any records
+  // produced out of band), and returns the number of records forwarded per
+  // *outbound* partition. The streaming aggregator consumes
   // exactly these counts (transport::BusConsumer::PollExactInto), which is
   // what makes the downstream read deterministic while later shards are
   // still in flight. Must be called from a single thread per proxy — the
   // proxy stage owns this proxy's consumer offsets. The inbound -> outbound
   // hop runs over slab-backed views with reused member scratch, so a
-  // warmed-up proxy forwards without heap allocation. The QID overload runs
-  // the same hop over that query's lane.
-  std::vector<uint32_t> ReceiveAndForwardShard(
-      std::span<const broker::ProduceView> records);
+  // warmed-up proxy forwards without heap allocation.
   std::vector<uint32_t> ReceiveAndForwardShard(
       uint64_t query_id, std::span<const broker::ProduceView> records);
 

@@ -1,6 +1,6 @@
-// A generic record-oriented partition log — the durable half of a broker
-// topic partition, and the base layer the historical answer log
-// (segment_log.h) shares its framing and recovery rules with.
+// A generic record-oriented partition log — the repo's one on-disk format:
+// the durable half of a broker topic partition, and the durable historical
+// answer store (aggregator/historical.h: one record per joined answer).
 //
 // Records append to size-bounded segment files under one directory. Each
 // segment is named by the offset of its first record

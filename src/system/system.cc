@@ -269,17 +269,20 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
       });
   if (config_.historical.enabled) {
     if (!config_.historical.dir.empty()) {
-      historical_log_ = std::make_unique<storage::SegmentedAnswerLog>(
-          std::filesystem::path(config_.historical.dir));
+      historical_log_ = std::make_unique<storage::PartitionLog>(
+          std::filesystem::path(config_.historical.dir),
+          storage::PartitionLogOptions{});
     }
-    aggregator_->set_answer_tap(
-        [this](int64_t timestamp_ms, const BitVector& answer) {
-          if (historical_log_ != nullptr) {
-            historical_log_->Append(timestamp_ms, answer);
-          } else {
-            historical_store_.Append(timestamp_ms, answer);
-          }
-        });
+    aggregator_->set_answer_tap([this](uint64_t query_id,
+                                       int64_t timestamp_ms,
+                                       const BitVector& answer) {
+      if (historical_log_ != nullptr) {
+        aggregator::AppendStoredAnswer(*historical_log_, query_id,
+                                       timestamp_ms, answer);
+      } else {
+        historical_answers_.push_back({timestamp_ms, answer});
+      }
+    });
   }
 
   if (config_.metrics.enabled) {
@@ -959,22 +962,19 @@ core::QueryResult PrivApproxSystem::RunHistorical(
     throw std::logic_error(
         "PrivApproxSystem::RunHistorical: historical store disabled");
   }
-  // The historical store tees joined answers without a QID partition, so
-  // batch analytics only has well-defined semantics for a single query.
   const ActiveQuery& active = SingleActive("RunHistorical");
+  // The durable store replays only the active query's answers in range;
+  // records of other queries are skipped before any sampling draw.
+  std::vector<aggregator::StoredAnswer> replayed;
   if (historical_log_ != nullptr) {
-    // Durable path: read back from the segmented log on disk.
-    const aggregator::ResponseStore store =
-        historical_log_->LoadRange(from_ms, to_ms);
-    const aggregator::HistoricalAnalytics analytics(
-        store, active.params, clients_.size(), config_.confidence);
-    return analytics.Run(from_ms, to_ms, budget, historical_rng_,
-                         active.query.answer_format.num_buckets());
+    replayed = aggregator::ReplayStoredAnswers(
+        *historical_log_, active.query.query_id, from_ms, to_ms);
   }
   const aggregator::HistoricalAnalytics analytics(
-      historical_store_, active.params, clients_.size(), config_.confidence);
-  return analytics.Run(from_ms, to_ms, budget, historical_rng_,
-                       active.query.answer_format.num_buckets());
+      active.params, clients_.size(), config_.confidence);
+  return analytics.Run(
+      historical_log_ != nullptr ? replayed : historical_answers_, from_ms,
+      to_ms, budget, historical_rng_, active.query.answer_format.num_buckets());
 }
 
 }  // namespace privapprox::system

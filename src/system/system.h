@@ -58,7 +58,6 @@
 #include "metrics/timeline.h"
 #include "proxy/proxy.h"
 #include "storage/partition_log.h"
-#include "storage/segment_log.h"
 #include "transport/inproc_bus.h"
 
 namespace privapprox::system {
@@ -96,9 +95,10 @@ struct HistoricalOptions {
   // Tee joined answers into the historical store.
   bool enabled = false;
   // When non-empty (and the store is enabled), persist the historical store
-  // to a durable segmented log under this directory — the HDFS stand-in —
-  // instead of keeping it only in memory. RunHistorical then reads back
-  // from disk.
+  // to a storage::PartitionLog (default options) under this directory — the
+  // HDFS stand-in — instead of keeping it only in memory: one record per
+  // joined answer, keyed by the joining query's QID. RunHistorical then
+  // replays the active query's answers from disk.
   std::string dir;
 };
 
@@ -255,8 +255,9 @@ class PrivApproxSystem {
   uint64_t ClientToProxyBytes() const;
 
   // Historical analytics over everything collected so far (§3.3.1);
-  // requires historical.enabled and exactly one registered query (the
-  // store is not QID-partitioned).
+  // requires historical.enabled and exactly one registered query. Only that
+  // query's answers count: a durable historical.dir reused across queries
+  // keeps each query's records apart by QID.
   core::QueryResult RunHistorical(int64_t from_ms, int64_t to_ms,
                                   const aggregator::BatchQueryBudget& budget);
 
@@ -344,8 +345,10 @@ class PrivApproxSystem {
   std::unique_ptr<aggregator::Aggregator> aggregator_;
   std::map<uint64_t, ActiveQuery> active_;  // QID -> query, ascending
   std::vector<aggregator::WindowedResult> results_;
-  aggregator::ResponseStore historical_store_;
-  std::unique_ptr<storage::SegmentedAnswerLog> historical_log_;
+  // Historical store: answers in memory, or in historical_log_ when
+  // historical.dir is set (then historical_answers_ stays empty).
+  std::vector<aggregator::StoredAnswer> historical_answers_;
+  std::unique_ptr<storage::PartitionLog> historical_log_;
   Xoshiro256 historical_rng_;
 };
 

@@ -475,55 +475,43 @@ TEST(AggregatorTest, DrainKeepsPollingWhileBatchesComeBackFull) {
 
 // ------------------------------------------------------------- historical
 
-TEST(ResponseStoreTest, RangeQueries) {
-  ResponseStore store;
-  BitVector answer(3);
-  answer.Set(1, true);
-  for (int64_t ts = 0; ts < 100; ts += 10) {
-    store.Append(ts, answer);
-  }
-  EXPECT_EQ(store.size(), 10u);
-  EXPECT_EQ(store.Range(20, 50).size(), 3u);
-  EXPECT_EQ(store.Range(200, 300).size(), 0u);
-}
-
 TEST(HistoricalAnalyticsTest, FullBudgetMatchesStreamCounts) {
-  ResponseStore store;
+  std::vector<StoredAnswer> store;
   BitVector yes(2), no(2);
   yes.Set(0, true);
   no.Set(1, true);
   for (int i = 0; i < 60; ++i) {
-    store.Append(i, yes);
+    store.push_back({i, yes});
   }
   for (int i = 60; i < 100; ++i) {
-    store.Append(i, no);
+    store.push_back({i, no});
   }
   core::ExecutionParams params;
   params.randomization = {1.0, 0.5};
-  HistoricalAnalytics analytics(store, params, /*population=*/100);
+  HistoricalAnalytics analytics(params, /*population=*/100);
   Xoshiro256 rng(1);
   const core::QueryResult result =
-      analytics.Run(0, 100, BatchQueryBudget{1.0}, rng, 2);
+      analytics.Run(store, 0, 100, BatchQueryBudget{1.0}, rng, 2);
   EXPECT_NEAR(result.buckets[0].estimate.value, 60.0, 1e-9);
   EXPECT_NEAR(result.buckets[1].estimate.value, 40.0, 1e-9);
 }
 
 TEST(HistoricalAnalyticsTest, SecondRoundSamplingStillUnbiased) {
-  ResponseStore store;
+  std::vector<StoredAnswer> store;
   BitVector yes(1);
   yes.Set(0, true);
   for (int i = 0; i < 6000; ++i) {
-    store.Append(i, yes);
+    store.push_back({i, yes});
   }
   for (int i = 6000; i < 10000; ++i) {
-    store.Append(i, BitVector(1));
+    store.push_back({i, BitVector(1)});
   }
   core::ExecutionParams params;
   params.randomization = {1.0, 0.5};
-  HistoricalAnalytics analytics(store, params, /*population=*/10000);
+  HistoricalAnalytics analytics(params, /*population=*/10000);
   Xoshiro256 rng(2);
   const core::QueryResult result =
-      analytics.Run(0, 10000, BatchQueryBudget{0.3}, rng, 1);
+      analytics.Run(store, 0, 10000, BatchQueryBudget{0.3}, rng, 1);
   // Estimate scaled back to population despite processing ~30%.
   EXPECT_NEAR(result.buckets[0].estimate.value, 6000.0, 400.0);
   EXPECT_LT(result.participants, 3600u);
@@ -531,29 +519,29 @@ TEST(HistoricalAnalyticsTest, SecondRoundSamplingStillUnbiased) {
 }
 
 TEST(HistoricalAnalyticsTest, TimeRangeRestrictsData) {
-  ResponseStore store;
+  std::vector<StoredAnswer> store;
   BitVector yes(1);
   yes.Set(0, true);
   for (int i = 0; i < 100; ++i) {
-    store.Append(i, yes);
+    store.push_back({i, yes});
   }
   core::ExecutionParams params;
   params.randomization = {1.0, 0.5};
-  HistoricalAnalytics analytics(store, params, 100);
+  HistoricalAnalytics analytics(params, 100);
   Xoshiro256 rng(3);
   const core::QueryResult result =
-      analytics.Run(0, 50, BatchQueryBudget{1.0}, rng, 1);
+      analytics.Run(store, 0, 50, BatchQueryBudget{1.0}, rng, 1);
   EXPECT_EQ(result.participants, 50u);
 }
 
 TEST(HistoricalAnalyticsTest, RejectsBadBudget) {
-  ResponseStore store;
+  std::vector<StoredAnswer> store;
   core::ExecutionParams params;
-  HistoricalAnalytics analytics(store, params, 10);
+  HistoricalAnalytics analytics(params, 10);
   Xoshiro256 rng(4);
-  EXPECT_THROW(analytics.Run(0, 10, BatchQueryBudget{0.0}, rng, 1),
+  EXPECT_THROW(analytics.Run(store, 0, 10, BatchQueryBudget{0.0}, rng, 1),
                std::invalid_argument);
-  EXPECT_THROW(analytics.Run(0, 10, BatchQueryBudget{1.5}, rng, 1),
+  EXPECT_THROW(analytics.Run(store, 0, 10, BatchQueryBudget{1.5}, rng, 1),
                std::invalid_argument);
 }
 

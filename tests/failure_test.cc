@@ -1,11 +1,14 @@
 // Failure-injection tests: lost shares, duplicated records, out-of-order
-// delivery, proxy outage, and a crash/recovery cycle of the durable
-// historical store — the system must degrade gracefully (fewer answers,
-// wider error bars) and never produce corrupt results.
+// delivery, proxy outage, and crash/recovery of the durable historical
+// store (restart, torn tail, a directory reused by another query, a
+// malformed record, a second opener) — the system must degrade gracefully
+// (fewer answers, wider error bars) and never produce corrupt results.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
+#include <string>
 
 #include "aggregator/aggregator.h"
 #include "client/client.h"
@@ -19,9 +22,9 @@
 namespace privapprox {
 namespace {
 
-core::Query MakeQuery() {
+core::Query MakeQuery(uint64_t query_id = 1) {
   return core::QueryBuilder()
-      .WithId(1)
+      .WithId(query_id)
       .WithSql("SELECT speed FROM vehicle")
       .WithAnswerFormat(core::AnswerFormat::UniformNumeric(0, 100, 10, true))
       .WithFrequencyMs(1000)
@@ -273,6 +276,163 @@ TEST(FailureTest, DurableHistoricalSurvivesSystemRestart) {
     EXPECT_NEAR(recovered.buckets[2].estimate.value, 40.0, 1e-9);
   }
   fs::remove_all(dir);
+}
+
+// Unique per process and per call; removed (with its contents) on exit.
+class HistoricalDir {
+ public:
+  HistoricalDir() {
+    static int counter = 0;
+    path_ = std::filesystem::temp_directory_path() /
+            ("privapprox_failure_hist_" + std::to_string(::getpid()) + "_" +
+             std::to_string(counter++));
+    std::filesystem::remove_all(path_);
+  }
+  ~HistoricalDir() { std::filesystem::remove_all(path_); }
+  std::string str() const { return path_.string(); }
+  const std::filesystem::path& path() const { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
+
+system::SystemConfig HistoricalConfig(size_t num_clients,
+                                      const std::string& dir) {
+  system::SystemConfig config;
+  config.num_clients = num_clients;
+  config.seed = 11;
+  config.historical.enabled = true;
+  config.historical.dir = dir;
+  return config;
+}
+
+// Collects one epoch of `query_id`'s answers from every client.
+void CollectOneEpoch(system::PrivApproxSystem& sys, size_t num_clients,
+                     uint64_t query_id) {
+  for (size_t i = 0; i < num_clients; ++i) {
+    auto& db = sys.client(i).database();
+    db.CreateTable("vehicle", {"speed"});
+    db.GetTable("vehicle").Insert(500, {localdb::Value(25.0)});
+  }
+  sys.SubmitQuery(MakeQuery(query_id), ExactParams());
+  sys.RunEpoch(5000);
+  sys.Flush();
+}
+
+core::ExecutionParams NoisyParams() {
+  core::ExecutionParams params;
+  params.sampling_fraction = 0.8;
+  params.randomization = {0.9, 0.3};
+  return params;
+}
+
+// One seeded noisy schedule (client sampling + randomized response over
+// three epochs), then batch queries at budgets 1.0 and 0.3.
+std::vector<core::QueryResult> HistoricalSchedule(const std::string& dir) {
+  constexpr size_t kClients = 60;
+  system::PrivApproxSystem sys(HistoricalConfig(kClients, dir));
+  for (size_t i = 0; i < kClients; ++i) {
+    sys.client(i).database().CreateTable("vehicle", {"speed"});
+  }
+  sys.SubmitQuery(MakeQuery(), NoisyParams());
+  for (int64_t now = 5000; now <= 15000; now += 5000) {
+    for (size_t i = 0; i < kClients; ++i) {
+      sys.client(i).database().GetTable("vehicle").Insert(
+          now - 100, {localdb::Value(static_cast<double>(i * 7 % 100))});
+    }
+    sys.RunEpoch(now);
+  }
+  sys.Flush();
+  return {sys.RunHistorical(0, 20000, aggregator::BatchQueryBudget{1.0}),
+          sys.RunHistorical(0, 20000, aggregator::BatchQueryBudget{0.3})};
+}
+
+void ExpectBitIdentical(const core::QueryResult& a,
+                        const core::QueryResult& b) {
+  EXPECT_EQ(a.participants, b.participants);
+  ASSERT_EQ(a.buckets.size(), b.buckets.size());
+  for (size_t k = 0; k < a.buckets.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.buckets[k].estimate.value),
+              std::bit_cast<uint64_t>(b.buckets[k].estimate.value))
+        << "bucket " << k;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.buckets[k].estimate.error),
+              std::bit_cast<uint64_t>(b.buckets[k].estimate.error))
+        << "bucket " << k;
+  }
+}
+
+TEST(FailureTest, DurableHistoricalMatchesMemoryThenLosesOneTornAnswer) {
+  namespace fs = std::filesystem;
+  HistoricalDir dir;
+  const std::vector<core::QueryResult> memory = HistoricalSchedule("");
+  const std::vector<core::QueryResult> durable =
+      HistoricalSchedule(dir.str());
+  ASSERT_EQ(memory.size(), 2u);
+  ASSERT_GT(memory[0].participants, memory[1].participants);
+  ExpectBitIdentical(memory[0], durable[0]);
+  ExpectBitIdentical(memory[1], durable[1]);
+
+  // Crash mid-append: cut the newest segment inside its last record.
+  fs::path newest;
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("seg-") && entry.path() > newest) {
+      newest = entry.path();
+    }
+  }
+  ASSERT_FALSE(newest.empty());
+  fs::resize_file(newest, fs::file_size(newest) - 5);
+
+  system::PrivApproxSystem sys(HistoricalConfig(60, dir.str()));
+  sys.SubmitQuery(MakeQuery(), NoisyParams());
+  EXPECT_EQ(
+      sys.RunHistorical(0, 20000, aggregator::BatchQueryBudget{1.0})
+          .participants,
+      durable[0].participants - 1);
+}
+
+TEST(FailureTest, DurableHistoricalDirReusedByAnotherQuery) {
+  // Both queries have 10 buckets, so only the QID tells their answers
+  // apart on disk.
+  HistoricalDir dir;
+  {
+    system::PrivApproxSystem sys(HistoricalConfig(30, dir.str()));
+    CollectOneEpoch(sys, 30, /*query_id=*/1);
+  }
+  system::PrivApproxSystem sys(HistoricalConfig(40, dir.str()));
+  CollectOneEpoch(sys, 40, /*query_id=*/2);
+  const core::QueryResult result =
+      sys.RunHistorical(0, 10000, aggregator::BatchQueryBudget{1.0});
+  EXPECT_EQ(result.participants, 40u);
+  EXPECT_NEAR(result.buckets[2].estimate.value, 40.0, 1e-9);
+}
+
+TEST(FailureTest, DurableHistoricalRejectsMalformedAnswer) {
+  HistoricalDir dir;
+  {
+    system::PrivApproxSystem sys(HistoricalConfig(20, dir.str()));
+    CollectOneEpoch(sys, 20, /*query_id=*/1);
+  }
+  {
+    // CRC-valid record whose bit count (100 -> 13 bytes) disagrees with
+    // the one answer byte that follows it.
+    storage::PartitionLog log(dir.path(), storage::PartitionLogOptions{});
+    log.Append(/*key=*/1, 5000, std::vector<uint8_t>{100, 0, 0, 0, 0xFF});
+  }
+  system::PrivApproxSystem sys(HistoricalConfig(20, dir.str()));
+  sys.SubmitQuery(MakeQuery(), ExactParams());
+  EXPECT_THROW(
+      sys.RunHistorical(0, 10000, aggregator::BatchQueryBudget{1.0}),
+      storage::SegmentLogError);
+}
+
+TEST(FailureTest, DurableHistoricalDirDoubleOpenThrows) {
+  // Two live systems appending to one directory would interleave records;
+  // the log's directory lock turns that into a clear error.
+  HistoricalDir dir;
+  system::PrivApproxSystem first(HistoricalConfig(2, dir.str()));
+  EXPECT_THROW(system::PrivApproxSystem(HistoricalConfig(2, dir.str())),
+               storage::SegmentLogError);
 }
 
 }  // namespace

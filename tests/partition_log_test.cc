@@ -18,7 +18,6 @@
 #include <unistd.h>
 
 #include "storage/partition_log.h"
-#include "storage/segment_log.h"
 
 namespace privapprox::storage {
 namespace {
@@ -183,6 +182,31 @@ TEST(PartitionLogTest, TornTailInNewestSegmentIsTruncated) {
   EXPECT_EQ(ReplayAll(log).size(), 4u);
   // The torn bytes are gone from disk, so a second open is clean.
   EXPECT_EQ(fs::file_size(path), 4u * (24 + 32));
+}
+
+TEST(PartitionLogTest, CrcCorruptTailInNewestSegmentIsTruncated) {
+  TempDir dir;
+  const size_t n = 5;
+  {
+    PartitionLog log(dir.path(), PartitionLogOptions{});
+    for (uint64_t i = 0; i < n; ++i) {
+      log.Append(i, 0, Payload(i, 16));
+    }
+  }
+  // Flip a payload byte of the LAST record: the file is whole but the
+  // record's CRC no longer matches — the same crash artifact as a torn tail.
+  const fs::path path = dir.path() / "seg-00000000000000000000.log";
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekg(-3, std::ios::end);
+    const char byte = static_cast<char>(file.get());
+    file.seekp(-3, std::ios::end);
+    file.put(static_cast<char>(byte ^ 0xFF));
+  }
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  EXPECT_EQ(log.end_offset(), n - 1);
+  EXPECT_EQ(log.stats().truncated_tails, 1u);
+  EXPECT_EQ(ReplayAll(log).size(), n - 1);
 }
 
 TEST(PartitionLogTest, CorruptRecordInSealedSegmentThrows) {
@@ -424,14 +448,6 @@ TEST(DirLockTest, ExclusiveWithinProcess) {
   first.Release();
   second.Acquire(dir.path(), "test");
   EXPECT_TRUE(second.held());
-}
-
-// The historical answer log shares the directory lock: double-opening the
-// same directory is a clear error, not interleaved segment writes.
-TEST(SegmentedAnswerLogLockTest, DoubleOpenThrows) {
-  TempDir dir;
-  SegmentedAnswerLog first(dir.path());
-  EXPECT_THROW(SegmentedAnswerLog(dir.path()), SegmentLogError);
 }
 
 }  // namespace

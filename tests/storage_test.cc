@@ -1,25 +1,28 @@
-// Tests for the durable segmented answer log: CRC32 vectors, round-trips,
-// segment rotation, time-range loads, torn-tail recovery, and corruption
-// detection.
+// Tests for CRC32 and the durable historical answer store: answers appended
+// to a storage::PartitionLog (aggregator/historical.h) round-trip, filter by
+// time range, survive rotation, reopen and a torn tail, and a record whose
+// payload lies about its bit count is rejected.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <random>
 #include <atomic>
+#include <filesystem>
+#include <random>
+#include <vector>
 
 #include <unistd.h>
 
-#include "storage/crc32.h"
 #include "aggregator/historical.h"
-#include "storage/segment_log.h"
+#include "storage/crc32.h"
+#include "storage/partition_log.h"
 
 namespace privapprox::storage {
 namespace {
 
 namespace fs = std::filesystem;
+using aggregator::AppendStoredAnswer;
+using aggregator::ReplayStoredAnswers;
+using aggregator::StoredAnswer;
 
 class TempDir {
  public:
@@ -73,157 +76,130 @@ TEST(Crc32Test, DetectsBitFlips) {
   EXPECT_NE(Crc32(buffer, sizeof(buffer)), original);
 }
 
-// ------------------------------------------------------------- segment log
+// ------------------------------------------------- historical answer log
+
+constexpr uint64_t kQid = 1;
+
+std::vector<StoredAnswer> ReplayEverything(const PartitionLog& log) {
+  return ReplayStoredAnswers(log, kQid, INT64_MIN, INT64_MAX);
+}
 
 TEST(SegmentLogTest, AppendAndLoadRoundTrip) {
   TempDir dir;
-  SegmentedAnswerLog log(dir.path());
+  PartitionLog log(dir.path(), PartitionLogOptions{});
   for (int64_t ts = 0; ts < 100; ++ts) {
-    log.Append(ts, MakeAnswer(11, static_cast<size_t>(ts % 11)));
+    AppendStoredAnswer(log, kQid, ts, MakeAnswer(11, static_cast<size_t>(ts % 11)));
   }
-  EXPECT_EQ(log.num_records(), 100u);
-  const ResponseStore store = log.LoadRange(INT64_MIN, INT64_MAX);
-  ASSERT_EQ(store.size(), 100u);
-  const auto range = store.Range(0, 100);
-  EXPECT_TRUE(range[42]->answer.Get(42 % 11));
-  EXPECT_EQ(range[42]->answer.size(), 11u);
+  EXPECT_EQ(log.end_offset(), 100u);
+  const std::vector<StoredAnswer> answers = ReplayEverything(log);
+  ASSERT_EQ(answers.size(), 100u);
+  EXPECT_EQ(answers[42].timestamp_ms, 42);
+  EXPECT_TRUE(answers[42].answer.Get(42 % 11));
+  EXPECT_EQ(answers[42].answer, MakeAnswer(11, 42 % 11));
 }
 
 TEST(SegmentLogTest, TimeRangeFilter) {
   TempDir dir;
-  SegmentedAnswerLog log(dir.path());
+  PartitionLog log(dir.path(), PartitionLogOptions{});
   for (int64_t ts = 0; ts < 50; ++ts) {
-    log.Append(ts * 10, MakeAnswer(4, 0));
+    AppendStoredAnswer(log, kQid, ts * 10, MakeAnswer(4, 0));
   }
-  EXPECT_EQ(log.LoadRange(100, 200).size(), 10u);
-  EXPECT_EQ(log.LoadRange(1000, 2000).size(), 0u);
+  EXPECT_EQ(ReplayStoredAnswers(log, kQid, 100, 200).size(), 10u);
+  EXPECT_EQ(ReplayStoredAnswers(log, kQid, 1000, 2000).size(), 0u);
 }
 
 TEST(SegmentLogTest, RotatesSegments) {
   TempDir dir;
-  SegmentedAnswerLog::Options options;
+  PartitionLogOptions options;
   options.max_segment_bytes = 512;  // tiny: force rotation
-  SegmentedAnswerLog log(dir.path(), options);
+  PartitionLog log(dir.path(), options);
   for (int64_t ts = 0; ts < 200; ++ts) {
-    log.Append(ts, MakeAnswer(64, 1));
+    AppendStoredAnswer(log, kQid, ts, MakeAnswer(64, 1));
   }
   EXPECT_GT(log.num_segments(), 3u);
-  EXPECT_EQ(log.LoadRange(INT64_MIN, INT64_MAX).size(), 200u);
+  EXPECT_EQ(ReplayEverything(log).size(), 200u);
 }
 
 TEST(SegmentLogTest, ReopenResumesAppending) {
   TempDir dir;
   {
-    SegmentedAnswerLog log(dir.path());
+    PartitionLog log(dir.path(), PartitionLogOptions{});
     for (int64_t ts = 0; ts < 30; ++ts) {
-      log.Append(ts, MakeAnswer(8, 2));
+      AppendStoredAnswer(log, kQid, ts, MakeAnswer(8, 2));
     }
   }
-  {
-    SegmentedAnswerLog log(dir.path());
-    EXPECT_EQ(log.num_records(), 30u);
-    for (int64_t ts = 30; ts < 60; ++ts) {
-      log.Append(ts, MakeAnswer(8, 2));
-    }
-    EXPECT_EQ(log.LoadRange(INT64_MIN, INT64_MAX).size(), 60u);
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  EXPECT_EQ(log.end_offset(), 30u);
+  for (int64_t ts = 30; ts < 60; ++ts) {
+    AppendStoredAnswer(log, kQid, ts, MakeAnswer(8, 2));
   }
+  EXPECT_EQ(ReplayEverything(log).size(), 60u);
 }
 
 TEST(SegmentLogTest, RecoversFromTornTail) {
   TempDir dir;
-  fs::path segment;
   {
-    SegmentedAnswerLog log(dir.path());
+    PartitionLog log(dir.path(), PartitionLogOptions{});
     for (int64_t ts = 0; ts < 10; ++ts) {
-      log.Append(ts, MakeAnswer(16, 3));
+      AppendStoredAnswer(log, kQid, ts, MakeAnswer(16, 3));
     }
-    segment = dir.path() / "answers-000000.log";
   }
   // Simulate a crash mid-append: chop the last 5 bytes.
-  const auto size = fs::file_size(segment);
-  fs::resize_file(segment, size - 5);
-  SegmentedAnswerLog log(dir.path());
-  EXPECT_EQ(log.num_records(), 9u);  // last record truncated away
+  const fs::path segment = dir.path() / "seg-00000000000000000000.log";
+  fs::resize_file(segment, fs::file_size(segment) - 5);
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  EXPECT_EQ(ReplayEverything(log).size(), 9u);  // last answer truncated away
   // And the log is writable again.
-  log.Append(100, MakeAnswer(16, 3));
-  EXPECT_EQ(log.LoadRange(INT64_MIN, INT64_MAX).size(), 10u);
+  AppendStoredAnswer(log, kQid, 100, MakeAnswer(16, 3));
+  EXPECT_EQ(ReplayEverything(log).size(), 10u);
 }
 
-TEST(SegmentLogTest, DetectsCorruptionInTornTailByCrc) {
+TEST(SegmentLogTest, RejectsPayloadWithLyingBitCount) {
   TempDir dir;
-  fs::path segment;
-  {
-    SegmentedAnswerLog log(dir.path());
-    for (int64_t ts = 0; ts < 5; ++ts) {
-      log.Append(ts, MakeAnswer(16, 1));
-    }
-    segment = dir.path() / "answers-000000.log";
-  }
-  // Flip a byte inside the LAST record's body.
-  {
-    std::fstream f(segment,
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(-3, std::ios::end);
-    char byte;
-    f.seekg(-3, std::ios::end);
-    f.get(byte);
-    f.seekp(-3, std::ios::end);
-    byte = static_cast<char>(byte ^ 0xFF);
-    f.put(byte);
-  }
-  SegmentedAnswerLog log(dir.path());
-  EXPECT_EQ(log.num_records(), 4u);  // corrupt tail record dropped
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  AppendStoredAnswer(log, kQid, 0, MakeAnswer(16, 3));
+  // CRC-valid record: num_bits = 100 claims 13 answer bytes, 2 follow.
+  log.Append(kQid, 1, std::vector<uint8_t>{100, 0, 0, 0, 0xFF, 0x01});
+  EXPECT_THROW(ReplayEverything(log), SegmentLogError);
+  // Malformed records are rejected whatever query or time they carry.
+  EXPECT_THROW(ReplayStoredAnswers(log, 2, 5, 6), SegmentLogError);
 }
 
-TEST(SegmentLogTest, RejectsCorruptionInSealedSegment) {
+TEST(SegmentLogTest, RejectsPayloadShorterThanBitCount) {
   TempDir dir;
-  {
-    SegmentedAnswerLog::Options options;
-    options.max_segment_bytes = 256;
-    SegmentedAnswerLog log(dir.path(), options);
-    for (int64_t ts = 0; ts < 100; ++ts) {
-      log.Append(ts, MakeAnswer(64, 5));
-    }
-    ASSERT_GT(log.num_segments(), 1u);
-  }
-  // Corrupt the FIRST (sealed) segment: unrecoverable.
-  {
-    std::fstream f(dir.path() / "answers-000000.log",
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(12);
-    f.put('\xFF');
-    f.put('\xFF');
-  }
-  EXPECT_THROW(SegmentedAnswerLog{dir.path()}, SegmentLogError);
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  log.Append(kQid, 0, std::vector<uint8_t>{8, 0});  // torn num_bits field
+  EXPECT_THROW(ReplayEverything(log), SegmentLogError);
 }
 
 TEST(SegmentLogTest, EmptyDirectoryIsValid) {
   TempDir dir;
-  SegmentedAnswerLog log(dir.path());
-  EXPECT_EQ(log.num_records(), 0u);
-  EXPECT_EQ(log.LoadRange(INT64_MIN, INT64_MAX).size(), 0u);
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  EXPECT_EQ(log.end_offset(), 0u);
+  EXPECT_TRUE(ReplayEverything(log).empty());
 }
 
 TEST(SegmentLogTest, BatchAnalyticsOverLoadedStore) {
-  // End-to-end: durable log -> LoadRange -> HistoricalAnalytics.
+  // End-to-end: durable log -> Replay -> HistoricalAnalytics.
   TempDir dir;
-  SegmentedAnswerLog log(dir.path());
+  PartitionLog log(dir.path(), PartitionLogOptions{});
   BitVector yes(2), no(2);
   yes.Set(0, true);
   no.Set(1, true);
   for (int i = 0; i < 70; ++i) {
-    log.Append(i, yes);
+    AppendStoredAnswer(log, kQid, i, yes);
   }
   for (int i = 70; i < 100; ++i) {
-    log.Append(i, no);
+    AppendStoredAnswer(log, kQid, i, no);
   }
-  const ResponseStore store = log.LoadRange(0, 100);
+  const std::vector<StoredAnswer> answers =
+      ReplayStoredAnswers(log, kQid, 0, 100);
   core::ExecutionParams params;
   params.randomization = {1.0, 0.5};
-  const aggregator::HistoricalAnalytics analytics(store, params, 100);
+  const aggregator::HistoricalAnalytics analytics(params, 100);
   Xoshiro256 rng(1);
-  const core::QueryResult result =
-      analytics.Run(0, 100, aggregator::BatchQueryBudget{1.0}, rng, 2);
+  const core::QueryResult result = analytics.Run(
+      answers, 0, 100, aggregator::BatchQueryBudget{1.0}, rng, 2);
   EXPECT_NEAR(result.buckets[0].estimate.value, 70.0, 1e-9);
   EXPECT_NEAR(result.buckets[1].estimate.value, 30.0, 1e-9);
 }
