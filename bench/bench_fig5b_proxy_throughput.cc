@@ -1,8 +1,9 @@
 // Figure 5(b): proxy throughput vs the answer bit-vector size A[n].
 //
 // Measures the real transmission path: clients' encrypted shares are
-// produced into the proxy's inbound topic and Forward() moves them to the
-// outbound topic — the only per-answer work a PrivApprox proxy does.
+// produced into one query lane's inbound topic and ForwardLanes() moves them
+// to the lane's outbound topic — the only per-answer work a PrivApprox proxy
+// does.
 // Registered as a google-benchmark so the per-size timings come from steady-
 // state measurement, then summarized as the paper's responses/sec series.
 //
@@ -22,7 +23,9 @@ using namespace privapprox;
 
 namespace {
 
-// Pre-build a batch of encoded shares of the given answer size.
+constexpr uint64_t kQueryId = 1;
+
+// Pre-build a batch of shares of the given answer size.
 std::vector<crypto::MessageShare> MakeShares(size_t bit_vector_size,
                                              size_t count) {
   crypto::XorSplitter splitter(2, crypto::ChaCha20Rng::FromSeed(1, 0));
@@ -40,17 +43,24 @@ void BM_ProxyForward(benchmark::State& state) {
   const size_t bits = static_cast<size_t>(state.range(0));
   constexpr size_t kBatch = 20000;
   const auto shares = MakeShares(bits, kBatch);
+  std::vector<std::vector<uint8_t>> encoded;
+  std::vector<broker::ProduceView> views;
+  encoded.reserve(shares.size());
+  views.reserve(shares.size());
+  for (const auto& share : shares) {
+    encoded.push_back(proxy::Proxy::EncodeShare(share));
+    views.push_back(broker::ProduceView{share.message_id, encoded.back(), 0});
+  }
   uint64_t total = 0;
   for (auto _ : state) {
     state.PauseTiming();
     broker::Broker b;
     transport::InProcessBus bus(b);
     proxy::Proxy proxy(proxy::ProxyConfig{0, 4}, bus);
-    for (const auto& share : shares) {
-      proxy.Receive(share, 0);
-    }
+    proxy.EnsureLane(kQueryId);
+    proxy.Receive(kQueryId, views);
     state.ResumeTiming();
-    total += proxy.Forward();
+    total += proxy.ForwardLanes();
   }
   state.SetItemsProcessed(static_cast<int64_t>(total));
   state.counters["responses/sec"] = benchmark::Counter(

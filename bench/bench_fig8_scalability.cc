@@ -12,10 +12,11 @@
 #include <chrono>
 #include <cstdio>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "aggregator/aggregator.h"
 #include "broker/broker.h"
-#include "common/thread_pool.h"
 #include "crypto/xor_cipher.h"
 #include "net/topology.h"
 #include "proxy/proxy.h"
@@ -26,25 +27,41 @@ using namespace privapprox;
 namespace {
 
 constexpr size_t kRecords = 200000;
+constexpr uint64_t kQueryId = 1;
 
-// Builds a proxy preloaded with `count` shares of an answer with
-// `answer_bits` buckets; returns forwarding throughput (records/sec) using
-// `cores` workers.
-double MeasureProxyThroughput(size_t answer_bits, size_t cores) {
+// Appends each share, encoded, to `query_id`'s lane at `proxy`.
+void ReceiveAll(proxy::Proxy& proxy, uint64_t query_id,
+                const std::vector<crypto::MessageShare>& shares) {
+  std::vector<std::vector<uint8_t>> encoded;
+  std::vector<broker::ProduceView> views;
+  encoded.reserve(shares.size());
+  views.reserve(shares.size());
+  for (const auto& share : shares) {
+    encoded.push_back(proxy::Proxy::EncodeShare(share));
+    views.push_back(broker::ProduceView{share.message_id, encoded.back(), 0});
+  }
+  proxy.Receive(query_id, views);
+}
+
+// Builds a proxy whose lane holds kRecords shares of an answer with
+// `answer_bits` buckets; returns single-threaded forwarding throughput
+// (records/sec) of the production ForwardLanes path.
+double MeasureProxyThroughput(size_t answer_bits) {
   broker::Broker b;
   transport::InProcessBus bus(b);
-  // Plenty of partitions so parallel workers do not serialize on partition
-  // locks (Kafka deployments over-partition for the same reason).
-  proxy::Proxy proxy(proxy::ProxyConfig{0, 64}, bus);
+  proxy::Proxy proxy(proxy::ProxyConfig{0, 4}, bus);
+  proxy.EnsureLane(kQueryId);
   crypto::XorSplitter splitter(2, crypto::ChaCha20Rng::FromSeed(1, 0));
   const std::vector<uint8_t> payload(
       crypto::AnswerMessage::WireSize(answer_bits), 0x77);
+  std::vector<crypto::MessageShare> shares;
+  shares.reserve(kRecords);
   for (size_t i = 0; i < kRecords; ++i) {
-    proxy.Receive(splitter.Split(payload)[0], 0);
+    shares.push_back(splitter.Split(payload)[0]);
   }
-  ThreadPool pool(cores);
+  ReceiveAll(proxy, kQueryId, shares);
   const auto start = std::chrono::steady_clock::now();
-  const uint64_t moved = proxy.ForwardParallel(pool);
+  const uint64_t moved = proxy.ForwardLanes();
   const auto end = std::chrono::steady_clock::now();
   const double sec = std::chrono::duration<double>(end - start).count();
   return static_cast<double>(moved) / sec;
@@ -53,16 +70,18 @@ double MeasureProxyThroughput(size_t answer_bits, size_t cores) {
 // Aggregator-side throughput: the real Aggregator::Drain path — broker
 // consumption from both proxy streams, share decoding, MID join with
 // replay/duplicate defense, XOR decryption, answer deserialization, and
-// sliding-window assignment. Single-threaded (cores = 1 calibration; the
+// sliding-window assignment. Single-threaded (a one-core calibration; the
 // model extrapolates, see main()).
-double MeasureAggregatorThroughput(size_t answer_bits, size_t /*cores*/) {
+double MeasureAggregatorThroughput(size_t answer_bits) {
   broker::Broker b;
   transport::InProcessBus bus(b);
   proxy::Proxy proxy0(proxy::ProxyConfig{0, 8}, bus);
   proxy::Proxy proxy1(proxy::ProxyConfig{1, 8}, bus);
+  proxy0.EnsureLane(kQueryId);
+  proxy1.EnsureLane(kQueryId);
   const core::Query query =
       core::QueryBuilder()
-          .WithId(1)
+          .WithId(kQueryId)
           .WithSql("SELECT x FROM t")
           .WithAnswerFormat(core::AnswerFormat::UniformNumeric(
               0, static_cast<double>(answer_bits), answer_bits))
@@ -80,15 +99,21 @@ double MeasureAggregatorThroughput(size_t answer_bits, size_t /*cores*/) {
   crypto::XorSplitter splitter(2, crypto::ChaCha20Rng::FromSeed(2, 0));
   BitVector answer(answer_bits);
   answer.Set(0, true);
-  const auto payload = crypto::AnswerMessage{1, answer}.Serialize();
+  const auto payload = crypto::AnswerMessage{kQueryId, answer}.Serialize();
   const size_t messages = kRecords / 2;
+  std::vector<crypto::MessageShare> shares0;
+  std::vector<crypto::MessageShare> shares1;
+  shares0.reserve(messages);
+  shares1.reserve(messages);
   for (size_t i = 0; i < messages; ++i) {
-    const auto shares = splitter.Split(payload);
-    proxy0.Receive(shares[0], 0);
-    proxy1.Receive(shares[1], 0);
+    auto shares = splitter.Split(payload);
+    shares0.push_back(std::move(shares[0]));
+    shares1.push_back(std::move(shares[1]));
   }
-  proxy0.Forward();
-  proxy1.Forward();
+  ReceiveAll(proxy0, kQueryId, shares0);
+  ReceiveAll(proxy1, kQueryId, shares1);
+  proxy0.ForwardLanes();
+  proxy1.ForwardLanes();
   const auto start = std::chrono::steady_clock::now();
   const uint64_t consumed = agg.Drain();
   const auto end = std::chrono::steady_clock::now();
@@ -129,10 +154,10 @@ int main() {
       "hardware).\n\n");
 
   // Calibration: real single-threaded rates on this host.
-  const double proxy_taxi = MeasureProxyThroughput(11, 1);
-  const double proxy_elec = MeasureProxyThroughput(6, 1);
-  const double agg_taxi = MeasureAggregatorThroughput(11, 1);
-  const double agg_elec = MeasureAggregatorThroughput(6, 1);
+  const double proxy_taxi = MeasureProxyThroughput(11);
+  const double proxy_elec = MeasureProxyThroughput(6);
+  const double agg_taxi = MeasureAggregatorThroughput(11);
+  const double agg_elec = MeasureAggregatorThroughput(6);
   std::printf("Measured single-core rates (K records/sec): proxy %0.f/%0.f, "
               "aggregator %0.f/%0.f (taxi/electricity)\n\n",
               proxy_taxi / 1000.0, proxy_elec / 1000.0, agg_taxi / 1000.0,

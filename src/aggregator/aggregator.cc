@@ -91,9 +91,10 @@ void Aggregator::RegisterQuery(const core::Query& query,
         std::to_string(query.query_id));
   }
   if (options.source_topics.empty()) {
-    // The legacy per-proxy outbound topics ("proxy<i>.out").
     for (size_t i = 0; i < config_.num_proxies; ++i) {
-      options.source_topics.push_back("proxy" + std::to_string(i) + ".out");
+      options.source_topics.push_back(
+          proxy::LaneTopic(proxy::DefaultTopicPrefix(i), query.query_id,
+                           proxy::TopicEnd::kOut));
     }
   }
   if (options.source_topics.size() != config_.num_proxies) {

@@ -97,9 +97,9 @@ struct AggregatorConfig {
                                                    // the watermark
 };
 
-// Per-query registration options. source_topics empty = the legacy
-// "proxy<i>.out" topics; the multi-query system passes the query's lane
-// outbound topics. The shard instruments (empty/null = fall back to the
+// Per-query registration options. source_topics empty = the query's lane
+// outbound topics at proxies 0..num_proxies-1 under their default prefixes
+// (proxy::LaneTopic). The shard instruments (empty/null = fall back to the
 // config-level ones) let the system label shard families per query.
 struct QueryLaneOptions {
   std::vector<std::string> source_topics;

@@ -143,30 +143,4 @@ std::vector<std::string> Broker::TopicNames() const {
   return names;
 }
 
-Consumer::Consumer(Topic& topic)
-    : topic_(topic), offsets_(topic.num_partitions(), 0) {}
-
-std::vector<Record> Consumer::Poll(size_t max_records) {
-  std::vector<Record> out;
-  for (size_t p = 0; p < offsets_.size() && out.size() < max_records; ++p) {
-    // ReadInto appends straight into `out` — no per-partition staging
-    // vector and no Record moves.
-    const size_t before = out.size();
-    topic_.ReadInto(p, offsets_[p], max_records - out.size(), out);
-    const size_t pulled = out.size() - before;
-    offsets_[p] += pulled;
-    consumed_ += pulled;
-  }
-  return out;
-}
-
-bool Consumer::CaughtUp() const {
-  for (size_t p = 0; p < offsets_.size(); ++p) {
-    if (offsets_[p] < topic_.EndOffset(p)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace privapprox::broker

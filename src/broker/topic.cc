@@ -220,17 +220,11 @@ void Topic::Reserve(size_t partition_index, size_t records,
 
 std::vector<Record> Topic::Read(size_t partition_index, uint64_t offset,
                                 size_t max_records) const {
-  std::vector<Record> out;
-  ReadInto(partition_index, offset, max_records, out);
-  return out;
-}
-
-void Topic::ReadInto(size_t partition_index, uint64_t offset,
-                     size_t max_records, std::vector<Record>& out) const {
   if (partition_index >= partitions_.size()) {
     throw std::out_of_range("Topic::Read: bad partition");
   }
   const Partition& partition = partitions_[partition_index];
+  std::vector<Record> out;
   size_t count = 0;
   size_t bytes = 0;
   {
@@ -249,6 +243,7 @@ void Topic::ReadInto(size_t partition_index, uint64_t offset,
   }
   records_out_.fetch_add(count, std::memory_order_relaxed);
   bytes_out_.fetch_add(bytes, std::memory_order_relaxed);
+  return out;
 }
 
 void Topic::ReadViews(size_t partition_index, uint64_t offset,

@@ -166,9 +166,6 @@ class Topic {
   // copying payloads (legacy path; tests and offline consumers).
   std::vector<Record> Read(size_t partition, uint64_t offset,
                            size_t max_records) const;
-  // Same, appending into a caller-owned buffer (reuses its capacity).
-  void ReadInto(size_t partition, uint64_t offset, size_t max_records,
-                std::vector<Record>& out) const;
   // Zero-copy read: appends slab-backed views into `out`. Views stay valid
   // for the topic's lifetime.
   void ReadViews(size_t partition, uint64_t offset, size_t max_records,

@@ -6,6 +6,7 @@
 
 #include "core/query_wire.h"
 #include "deploy/result_wire.h"
+#include "proxy/proxy.h"
 #include "transport/wire.h"
 
 namespace privapprox::deploy {
@@ -38,7 +39,7 @@ AggregatorDaemon::AggregatorDaemon(AggregatorDaemonConfig config)
     client_config.counters.frames_out = client_frames_out;
     proxy_buses_.push_back(
         std::make_unique<transport::TcpBusClient>(client_config));
-    router_.AddRoute("proxy" + std::to_string(j) + ".", *proxy_buses_[j]);
+    router_.AddRoute(proxy::DefaultTopicPrefix(j) + ".", *proxy_buses_[j]);
   }
 
   aggregator::AggregatorConfig agg_config;
@@ -129,13 +130,8 @@ bool AggregatorDaemon::RegisterAnnouncement(
     journal_->Append(ann.query.query_id, /*timestamp_ms=*/0, announcement);
     journal_->Sync();
   }
-  aggregator::QueryLaneOptions lane;
-  lane.source_topics.reserve(config_.proxies.size());
-  for (size_t j = 0; j < config_.proxies.size(); ++j) {
-    lane.source_topics.push_back("proxy" + std::to_string(j) + ".q" +
-                                 std::to_string(ann.query.query_id) + ".out");
-  }
-  aggregator_->RegisterQuery(ann.query, ann.params, std::move(lane));
+  // Default source topics: proxy j's lane outbound for this query.
+  aggregator_->RegisterQuery(ann.query, ann.params);
   return true;
 }
 

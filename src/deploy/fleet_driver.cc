@@ -8,6 +8,7 @@
 #include "core/query_wire.h"
 #include "crypto/xor_cipher.h"
 #include "deploy/result_wire.h"
+#include "proxy/proxy.h"
 #include "transport/message_bus.h"
 #include "transport/wire.h"
 
@@ -77,7 +78,6 @@ core::ExecutionParams FleetDriver::SubmitQuery(
   const core::BudgetAdmission admission =
       budget_manager_.Admit(query.query_id, params);
   try {
-    const std::string qid = std::to_string(query.query_id);
     const size_t num_proxies = proxy_buses_.size();
     const std::vector<uint8_t> announcement = core::SerializeAnnouncement(
         core::QueryAnnouncement{query, admission.params});
@@ -88,24 +88,28 @@ core::ExecutionParams FleetDriver::SubmitQuery(
     std::vector<uint8_t> qid_payload;
     transport::PutU64(query.query_id, qid_payload);
     for (size_t j = 0; j < num_proxies; ++j) {
-      const std::string prefix = "proxy" + std::to_string(j);
+      const std::string prefix = proxy::DefaultTopicPrefix(j);
       proxy_buses_[j]->Control("ensure_lane", qid_payload);
-      active.lane_in_topics.push_back(prefix + ".q" + qid + ".in");
+      active.lane_in_topics.push_back(
+          proxy::LaneTopic(prefix, query.query_id, proxy::TopicEnd::kIn));
       // Attach to the daemon-created topics (EnsureTopic validates that
       // both sides agree on the partition count).
-      proxy_buses_[j]->EnsureTopic(prefix + ".query.in", 1);
+      const std::string query_in =
+          proxy::AnnouncementTopic(prefix, proxy::TopicEnd::kIn);
+      proxy_buses_[j]->EnsureTopic(query_in, 1);
       const broker::ProduceView view{/*key=*/0, announcement,
                                      /*timestamp_ms=*/0};
-      proxy_buses_[j]->Produce(prefix + ".query.in",
+      proxy_buses_[j]->Produce(query_in,
                                std::span<const broker::ProduceView>(&view, 1));
       proxy_buses_[j]->Control("forward_queries", {});
     }
     // Deliver the forwarded announcement to each proxy's client cohort —
     // client i subscribes via proxy i mod n, like the in-process system.
     for (size_t j = 0; j < num_proxies; ++j) {
-      transport::BusConsumer consumer(*proxy_buses_[j],
-                                      "proxy" + std::to_string(j) +
-                                          ".query.out");
+      transport::BusConsumer consumer(
+          *proxy_buses_[j],
+          proxy::AnnouncementTopic(proxy::DefaultTopicPrefix(j),
+                                   proxy::TopicEnd::kOut));
       std::vector<broker::RecordView> records;
       while (consumer.PollInto(64, records) != 0) {
       }
@@ -247,7 +251,7 @@ uint64_t FleetDriver::AdvanceRetention() {
     const uint32_t num_parts = reader.TakeU32();
     size_t owner = proxy_buses_.size();
     for (size_t j = 0; j < proxy_buses_.size(); ++j) {
-      const std::string prefix = "proxy" + std::to_string(j) + ".";
+      const std::string prefix = proxy::DefaultTopicPrefix(j) + ".";
       if (topic.compare(0, prefix.size(), prefix) == 0) {
         owner = j;
         break;

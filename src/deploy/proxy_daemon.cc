@@ -1,6 +1,5 @@
 #include "deploy/proxy_daemon.h"
 
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -81,26 +80,14 @@ ProxyDaemon::ProxyDaemon(ProxyDaemonConfig config) : config_(std::move(config)) 
 
 void ProxyDaemon::RecoverLanes(
     const std::vector<std::string>& recovered_topics) {
-  // A previous incarnation's lanes are encoded in its topic names:
-  // "<prefix>.q<ID>.in". The query topics also match the ".q" prefix
-  // ("proxy0.query.in"), so only all-digit IDs count.
-  const std::string prefix =
-      "proxy" + std::to_string(config_.proxy_index) + ".q";
-  const std::string suffix = ".in";
+  // A previous incarnation's lanes are encoded in its lane inbound topic
+  // names; every other recovered topic is left alone.
+  const std::string prefix = proxy::DefaultTopicPrefix(config_.proxy_index);
   for (const std::string& name : recovered_topics) {
-    if (name.size() <= prefix.size() + suffix.size() ||
-        name.compare(0, prefix.size(), prefix) != 0 ||
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-            0) {
-      continue;
+    if (const auto qid =
+            proxy::ParseLaneTopic(prefix, name, proxy::TopicEnd::kIn)) {
+      proxy_->EnsureLane(*qid);
     }
-    const std::string id_str = name.substr(
-        prefix.size(), name.size() - prefix.size() - suffix.size());
-    if (id_str.empty() ||
-        id_str.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    proxy_->EnsureLane(std::strtoull(id_str.c_str(), nullptr, 10));
   }
   // Reposition every consumer past the records a previous incarnation
   // already forwarded (out-end == records forwarded; see proxy.h).

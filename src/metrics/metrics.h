@@ -118,7 +118,7 @@ class Histogram {
 };
 
 // Label set attached to one metric within a family, e.g.
-// {{"proxy", "0"}, {"topic", "proxy0.in"}}. Rendered in the given order.
+// {{"proxy", "0"}, {"topic", "proxy0.q1.in"}}. Rendered in the given order.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 // A process-wide collection of labeled metric families.

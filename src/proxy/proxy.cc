@@ -1,5 +1,6 @@
 #include "proxy/proxy.h"
 
+#include <charconv>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -14,25 +15,67 @@ int64_t NowNs() {
       .count();
 }
 
+constexpr std::string_view kLaneMarker = ".q";
+constexpr std::string_view kAnnouncementMarker = ".query";
+
+const char* EndSuffix(TopicEnd end) {
+  return end == TopicEnd::kIn ? ".in" : ".out";
+}
+
 }  // namespace
+
+std::string DefaultTopicPrefix(size_t proxy_index) {
+  return "proxy" + std::to_string(proxy_index);
+}
+
+std::string LaneTopic(std::string_view prefix, uint64_t query_id,
+                      TopicEnd end) {
+  std::string topic(prefix);
+  topic += kLaneMarker;
+  topic += std::to_string(query_id);
+  topic += EndSuffix(end);
+  return topic;
+}
+
+std::string AnnouncementTopic(std::string_view prefix, TopicEnd end) {
+  std::string topic(prefix);
+  topic += kAnnouncementMarker;
+  topic += EndSuffix(end);
+  return topic;
+}
+
+std::optional<uint64_t> ParseLaneTopic(std::string_view prefix,
+                                       std::string_view topic, TopicEnd end) {
+  const std::string_view suffix = EndSuffix(end);
+  const size_t head = prefix.size() + kLaneMarker.size();
+  if (topic.size() <= head + suffix.size() ||
+      topic.substr(0, prefix.size()) != prefix ||
+      topic.substr(prefix.size(), kLaneMarker.size()) != kLaneMarker ||
+      topic.substr(topic.size() - suffix.size()) != suffix) {
+    return std::nullopt;
+  }
+  // All digits: from_chars takes no sign, so "P.q-1.in" is not a lane.
+  const std::string_view digits =
+      topic.substr(head, topic.size() - head - suffix.size());
+  uint64_t query_id = 0;
+  const auto [end_ptr, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), query_id);
+  if (ec != std::errc() || end_ptr != digits.data() + digits.size()) {
+    return std::nullopt;
+  }
+  return query_id;
+}
 
 Proxy::Proxy(ProxyConfig config, transport::MessageBus& bus)
     : config_(std::move(config)), bus_(&bus) {
   prefix_ = config_.topic_prefix.empty()
-                ? "proxy" + std::to_string(config_.proxy_index)
+                ? DefaultTopicPrefix(config_.proxy_index)
                 : config_.topic_prefix;
   out_prefix_ = config_.out_prefix.empty() ? prefix_ : config_.out_prefix;
-  in_topic_ = prefix_ + ".in";
-  out_topic_ =
-      config_.out_topic.empty() ? prefix_ + ".out" : config_.out_topic;
-  query_in_topic_ = prefix_ + ".query.in";
-  query_out_topic_ = prefix_ + ".query.out";
-  bus_->EnsureTopic(in_topic_, config_.num_partitions);
-  // EnsureTopic: a standby proxy's outbound is its primary's existing topic.
-  bus_->EnsureTopic(out_topic_, config_.num_partitions);
+  query_in_topic_ = AnnouncementTopic(prefix_, TopicEnd::kIn);
+  query_out_topic_ = AnnouncementTopic(prefix_, TopicEnd::kOut);
   bus_->EnsureTopic(query_in_topic_, 1);
   bus_->EnsureTopic(query_out_topic_, 1);
-  consumer_ = std::make_unique<transport::BusConsumer>(*bus_, in_topic_);
   query_consumer_ =
       std::make_unique<transport::BusConsumer>(*bus_, query_in_topic_);
 }
@@ -44,10 +87,9 @@ void Proxy::EnsureLane(uint64_t query_id) {
   if (lanes_.count(query_id) != 0) {
     return;
   }
-  const std::string qid = std::to_string(query_id);
   Lane lane;
-  lane.in_topic = prefix_ + ".q" + qid + ".in";
-  lane.out_topic = out_prefix_ + ".q" + qid + ".out";
+  lane.in_topic = LaneTopic(prefix_, query_id, TopicEnd::kIn);
+  lane.out_topic = LaneTopic(out_prefix_, query_id, TopicEnd::kOut);
   bus_->EnsureTopic(lane.in_topic, config_.num_partitions);
   bus_->EnsureTopic(lane.out_topic, config_.num_partitions);
   lane.consumer = std::make_unique<transport::BusConsumer>(*bus_, lane.in_topic);
@@ -74,7 +116,6 @@ void Proxy::SyncConsumersToOutbound() {
       consumer.Seek(p, bus_->EndOffset(out_topic, p));
     }
   };
-  sync(*consumer_, out_topic_);
   sync(*query_consumer_, query_out_topic_);
   for (auto& [qid, lane] : lanes_) {
     sync(*lane.consumer, lane.out_topic);
@@ -121,15 +162,9 @@ void Proxy::NoteReceived(uint64_t n) {
 }
 
 void Proxy::NoteForwarded(uint64_t n) {
-  forwarded_ += n;
   if (config_.forwarded_total != nullptr) {
     config_.forwarded_total->Increment(n);
   }
-}
-
-void Proxy::Receive(std::span<const broker::ProduceView> records) {
-  bus_->Produce(in_topic_, records);
-  NoteReceived(records.size());
 }
 
 void Proxy::Receive(uint64_t query_id,
@@ -137,13 +172,6 @@ void Proxy::Receive(uint64_t query_id,
   const Lane& lane = GetLane(query_id, "Proxy::Receive");
   bus_->Produce(lane.in_topic, records);
   NoteReceived(records.size());
-}
-
-void Proxy::Receive(const crypto::MessageShare& share, int64_t timestamp_ms) {
-  const std::vector<uint8_t> encoded = EncodeShare(share);
-  const broker::ProduceView view{share.message_id, encoded, timestamp_ms};
-  bus_->Produce(in_topic_, std::span<const broker::ProduceView>(&view, 1));
-  NoteReceived(1);
 }
 
 uint64_t Proxy::ForwardPendingViews(transport::BusConsumer& consumer,
@@ -179,10 +207,6 @@ uint64_t Proxy::ForwardPendingViews(transport::BusConsumer& consumer,
   return total;
 }
 
-uint64_t Proxy::Forward() {
-  return ForwardPendingViews(*consumer_, out_topic_, nullptr);
-}
-
 uint64_t Proxy::ForwardLanes() {
   uint64_t total = 0;
   for (auto& [qid, lane] : lanes_) {
@@ -199,28 +223,6 @@ std::vector<uint32_t> Proxy::ReceiveAndForwardShard(
   std::vector<uint32_t> counts(config_.num_partitions, 0);
   ForwardPendingViews(*lane.consumer, lane.out_topic, &counts);
   return counts;
-}
-
-uint64_t Proxy::ForwardParallel(ThreadPool& pool) {
-  uint64_t count = 0;
-  std::vector<broker::RecordView> batch;
-  for (;;) {
-    batch.clear();
-    if (consumer_->PollInto(8192, batch) == 0) {
-      break;
-    }
-    count += batch.size();
-    pool.ParallelFor(batch.size(), [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const broker::ProduceView view{batch[i].key, batch[i].bytes(),
-                                       batch[i].timestamp_ms};
-        bus_->Produce(out_topic_,
-                     std::span<const broker::ProduceView>(&view, 1));
-      }
-    });
-  }
-  NoteForwarded(count);
-  return count;
 }
 
 void Proxy::AnnounceQuery(const std::vector<uint8_t>& announcement,

@@ -3,17 +3,15 @@
 // A PrivApprox proxy does exactly one thing on the answer path: transmit
 // opaque shares from clients to the aggregator. There is no noise addition,
 // no answer intersection, no shuffling and — crucially — no synchronization
-// with the other proxies (contrast: baseline::SplitX). Forward() moves
+// with the other proxies (contrast: baseline::SplitX). ForwardLanes() moves
 // pending records from inbound to outbound topics, which is the operation
 // Fig 5b / Fig 8a measure.
 //
-// Multi-query: share traffic runs over per-(query, proxy) *lanes*. A lane is
-// an inbound/outbound topic pair named "<prefix>.q<QID>.in" / ".out", so a
-// record's topic implies its query — batches stay query-pure end to end and
-// the hot path never parses a QID out of a payload. The legacy QID-less
-// topics ("<prefix>.in"/".out") and their Receive/Forward entry points
-// remain as the single-query compatibility surface for tests and simple
-// deployments; the system runtime itself only speaks lanes.
+// Shares travel only over per-(query, proxy) *lanes*. A lane is an
+// inbound/outbound topic pair named "<prefix>.q<QID>.in" / ".out" (see
+// LaneTopic), so a record's topic implies its query — batches stay
+// query-pure end to end and the hot path never parses a QID out of a
+// payload. A query's lanes exist once EnsureLane has run for it.
 //
 // Transport: the proxy speaks transport::MessageBus, never a broker
 // directly. In process that is an InProcessBus over the shared broker; in a
@@ -22,8 +20,8 @@
 //
 // API shape: span-first. Batched entries take spans of non-owning views
 // (arena- or slab-backed) and decode produces spans into broker slab
-// storage; the only owning calls are the single-record adapters
-// (Receive(share, ts), DecodeShare) kept for tests and simple clients.
+// storage. EncodeShare/DecodeShare are the owning single-record reference
+// encoding that tests compare the batched paths against.
 
 #ifndef PRIVAPPROX_PROXY_PROXY_H_
 #define PRIVAPPROX_PROXY_PROXY_H_
@@ -31,31 +29,42 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "broker/broker.h"
-#include "common/thread_pool.h"
 #include "crypto/message.h"
 #include "metrics/metrics.h"
 #include "transport/message_bus.h"
 
 namespace privapprox::proxy {
 
+// Topic naming, the one place the rule lives. Proxy <index>'s topics share
+// the prefix "proxy<index>". Under prefix P, query QID's share lane is the
+// pair "P.q<QID>.in" / "P.q<QID>.out", and query announcements travel over
+// "P.query.in" / "P.query.out".
+std::string DefaultTopicPrefix(size_t proxy_index);
+enum class TopicEnd { kIn, kOut };
+std::string LaneTopic(std::string_view prefix, uint64_t query_id, TopicEnd end);
+std::string AnnouncementTopic(std::string_view prefix, TopicEnd end);
+// The QID of a LaneTopic(prefix, QID, end) name, or nullopt for any other
+// name — including the announcement topics.
+std::optional<uint64_t> ParseLaneTopic(std::string_view prefix,
+                                       std::string_view topic, TopicEnd end);
+
 struct ProxyConfig {
   size_t proxy_index = 0;
   size_t num_partitions = 4;  // Kafka brokers per proxy in the paper's setup
-  // Topic naming. Empty prefix = "proxy<index>". A standby proxy (fault
-  // failover target) uses its own prefix for the inbound/query topics while
-  // out_topic overrides the outbound to its primary's — shares delivered
-  // via failover land in the same stream the aggregator already joins, so
-  // the n-source join is untouched.
+  // Topic naming. Empty prefix = DefaultTopicPrefix(index).
   std::string topic_prefix;
-  std::string out_topic;  // empty = "<prefix>.out"
-  // Lane outbound naming: lane out topics are "<out_prefix>.q<QID>.out",
-  // empty = own prefix. A standby sets this to its primary's prefix so
-  // failover shares join the primary's per-query streams.
+  // Lane outbound naming: lane out topics are LaneTopic(out_prefix, QID,
+  // kOut), empty = own prefix. A standby proxy (fault failover target) sets
+  // this to its primary's prefix, so shares delivered via failover land in
+  // the per-query streams the aggregator already joins and the n-source
+  // join is untouched.
   std::string out_prefix;
   // Optional instruments, not owned (null = uninstrumented). The system
   // wires these to its registry's per-proxy families; the Counters are the
@@ -72,8 +81,6 @@ class Proxy {
   Proxy(ProxyConfig config, transport::MessageBus& bus);
 
   size_t index() const { return config_.proxy_index; }
-  const std::string& in_topic() const { return in_topic_; }
-  const std::string& out_topic() const { return out_topic_; }
   const std::string& query_in_topic() const { return query_in_topic_; }
   const std::string& query_out_topic() const { return query_out_topic_; }
 
@@ -90,13 +97,13 @@ class Proxy {
 
   // Crash-recovery repositioning (called once by a restarted proxy daemon
   // after its broker replayed the durable topics, never in steady state):
-  // seeks every consumer — legacy, query, and per-lane — to its outbound
+  // seeks every consumer — query and per-lane — to its outbound
   // topic's end offset. Valid because a forwarded record keeps its key, the
   // in/out topics share a partition count, and forwarding preserves
   // per-partition order: out partition p holds exactly the records already
   // forwarded from in partition p, so out-end(p) is the count consumed from
   // in-p. Records produced inbound but not yet forwarded before the crash
-  // remain pending and go out on the next Forward*/ReceiveAndForwardShard.
+  // remain pending and go out on the next ForwardLanes/ReceiveAndForwardShard.
   void SyncConsumersToOutbound();
 
   // Per-partition committed offsets of one lane's inbound consumer — the
@@ -105,22 +112,15 @@ class Proxy {
   std::vector<uint64_t> LaneInOffsets(uint64_t query_id) const;
 
   // Client-facing entry: enqueue a batch of pre-encoded shares (keyed by
-  // MID) in one produce call. The views (typically arena-backed ShareView
-  // records, in client-id order so topic contents stay byte-identical to
-  // per-record produce calls) only need to stay valid for the duration of
-  // the call — the topic copies each payload once into its slab.
-  // The QID-less overload feeds the legacy single-query topic; the QID
-  // overload feeds that query's lane (which must exist).
-  void Receive(std::span<const broker::ProduceView> records);
+  // MID) into `query_id`'s lane (which must exist) in one produce call. The
+  // views (typically arena-backed ShareView records, in client-id order so
+  // topic contents stay byte-identical to per-record produce calls) only
+  // need to stay valid for the duration of the call — the topic copies each
+  // payload once into its slab.
   void Receive(uint64_t query_id, std::span<const broker::ProduceView> records);
 
-  // Owning single-record adapter: encodes and enqueues one share.
-  void Receive(const crypto::MessageShare& share, int64_t timestamp_ms);
-
-  // Transmits all pending inbound records to the outbound topic. Returns the
-  // number of records forwarded. Forward() serves the legacy topic pair;
-  // ForwardLanes() drains every lane in ascending-QID order.
-  uint64_t Forward();
+  // Transmits all pending inbound records of every lane, in ascending-QID
+  // order, to the lane's outbound topic. Returns the number forwarded.
   uint64_t ForwardLanes();
 
   // Epoch-pipeline entry (system/system.cc): appends one shard batch to
@@ -144,10 +144,6 @@ class Proxy {
   void AnnounceQuery(const std::vector<uint8_t>& announcement,
                      int64_t timestamp_ms);
   uint64_t ForwardQueries();
-
-  // Parallel variant used by the scalability bench: forwarding fans out over
-  // the pool in record batches.
-  uint64_t ForwardParallel(ThreadPool& pool);
 
   // Serialization helpers shared with the aggregator side. DecodeShare is
   // the owning single-record adapter: it parses the 8-byte MID header and
@@ -179,8 +175,6 @@ class Proxy {
   static void DecodeShares(std::span<const broker::RecordView> records,
                            DecodedShares& out);
 
-  uint64_t forwarded() const { return forwarded_; }
-
  private:
   // One per-query topic pair plus the consumer that owns the inbound
   // offsets for this proxy.
@@ -206,14 +200,10 @@ class Proxy {
   transport::MessageBus* bus_;
   std::string prefix_;
   std::string out_prefix_;
-  std::string in_topic_;
-  std::string out_topic_;
   std::string query_in_topic_;
   std::string query_out_topic_;
-  std::unique_ptr<transport::BusConsumer> consumer_;
   std::unique_ptr<transport::BusConsumer> query_consumer_;
   std::map<uint64_t, Lane> lanes_;  // QID -> lane, ascending
-  uint64_t forwarded_ = 0;
   // Forwarding scratch, reused across calls so steady-state forwarding
   // performs no heap allocation. Only touched by the single thread that
   // owns this proxy's consumer offsets.

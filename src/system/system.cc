@@ -191,10 +191,9 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
         standby_config.proxy_index = i;
         standby_config.num_partitions = 4;
         standby_config.topic_prefix = "standby" + std::to_string(i);
-        standby_config.out_topic = proxies_[i]->out_topic();
-        // Lane outbound topics must also be the primary's, so failover
-        // shares land in the per-query streams the aggregator joins.
-        standby_config.out_prefix = "proxy" + std::to_string(i);
+        // Lane outbound topics are the primary's, so failover shares land
+        // in the per-query streams the aggregator joins.
+        standby_config.out_prefix = proxy::DefaultTopicPrefix(i);
         const metrics::Labels labels{{"proxy", std::to_string(i)}};
         standby_config.received_total = &registry_.GetCounter(
             "privapprox_standby_received_total",
@@ -452,11 +451,6 @@ core::ExecutionParams PrivApproxSystem::UpdateParams(
   aggregator_->UpdateParams(query_id, admission.params);
   active.params = admission.params;
   return admission.params;
-}
-
-core::ExecutionParams PrivApproxSystem::UpdateParams(
-    const core::ExecutionParams& params) {
-  return UpdateParams(SingleActive("UpdateParams").query.query_id, params);
 }
 
 std::vector<uint64_t> PrivApproxSystem::query_ids() const {

@@ -220,11 +220,9 @@ class PrivApproxSystem {
   // feedback loop) without disturbing in-flight window state: the budget
   // manager re-prices the query, a fresh announcement reaches every
   // client, and the query's estimator switches to the admitted (s, p, q).
-  // Returns the admitted parameters. The QID-less overload is the
-  // single-query shim.
+  // Returns the admitted parameters.
   core::ExecutionParams UpdateParams(uint64_t query_id,
                                      const core::ExecutionParams& params);
-  core::ExecutionParams UpdateParams(const core::ExecutionParams& params);
 
   size_t num_queries() const { return active_.size(); }
   // Registered QIDs in ascending order.

@@ -11,6 +11,7 @@
 #include "broker/broker.h"
 #include "client/client.h"
 #include "proxy/proxy.h"
+#include "ship_share.h"
 #include "transport/inproc_bus.h"
 
 namespace privapprox::aggregator {
@@ -40,6 +41,8 @@ struct Harness {
       : query(MakeQuery()),
         proxy0(proxy::ProxyConfig{0, 2}, bus),
         proxy1(proxy::ProxyConfig{1, 2}, bus) {
+    proxy0.EnsureLane(query.query_id);
+    proxy1.EnsureLane(query.query_id);
     AggregatorConfig config;
     config.num_proxies = 2;
     config.population = population;
@@ -48,18 +51,19 @@ struct Harness {
     aggregator = std::make_unique<Aggregator>(
         config, bus,
         [this](const WindowedResult& r) { results.push_back(r); });
+    // Default source topics: each proxy's lane outbound for the query.
     aggregator->RegisterQuery(query, params);
   }
 
   // Ships one client answer (already-built shares) through both proxies.
   void Ship(const std::vector<crypto::MessageShare>& shares, int64_t ts) {
-    proxy0.Receive(shares[0], ts);
-    proxy1.Receive(shares[1], ts);
+    proxy::Ship(proxy0, query.query_id, shares[0], ts);
+    proxy::Ship(proxy1, query.query_id, shares[1], ts);
   }
 
   void Pump() {
-    proxy0.Forward();
-    proxy1.Forward();
+    proxy0.ForwardLanes();
+    proxy1.ForwardLanes();
     aggregator->Drain();
   }
 
@@ -163,7 +167,8 @@ TEST(AggregatorTest, LostShareNeverJoins) {
   c.Subscribe(harness.query, NoNoiseParams());
   const auto answer = c.AnswerQuery(5000);
   // Only proxy 0 receives its share; proxy 1's is lost.
-  harness.proxy0.Receive(answer->shares[0], 5000);
+  proxy::Ship(harness.proxy0, harness.query.query_id, answer->shares[0],
+              5000);
   harness.Pump();
   EXPECT_EQ(harness.aggregator->join_stats().joined, 0u);
   harness.aggregator->AdvanceWatermark(100000);
@@ -252,6 +257,10 @@ TEST(AggregatorTest, RejectsDuplicateQueryRegistration) {
   transport::InProcessBus bus(b);
   proxy::Proxy p0(proxy::ProxyConfig{0, 2}, bus);
   proxy::Proxy p1(proxy::ProxyConfig{1, 2}, bus);
+  for (const uint64_t qid : {1, 2}) {
+    p0.EnsureLane(qid);
+    p1.EnsureLane(qid);
+  }
   AggregatorConfig config;
   config.num_proxies = 2;
   config.population = 10;
@@ -407,22 +416,29 @@ TEST(AggregatorTest, DrainStopsOnceEverySourceIsCaughtUp) {
   proxy::Proxy proxy0(proxy_config, bus);
   proxy_config.proxy_index = 1;
   proxy::Proxy proxy1(proxy_config, bus);
+  const core::Query query = MakeQuery();
+  proxy0.EnsureLane(query.query_id);
+  proxy1.EnsureLane(query.query_id);
   AggregatorConfig config;
   config.num_proxies = 2;
   config.population = population;
   Aggregator aggregator(config, bus, [](const WindowedResult&) {});
-  aggregator.RegisterQuery(MakeQuery(), NoNoiseParams());
+  aggregator.RegisterQuery(query, NoNoiseParams());
   for (size_t i = 0; i < population; ++i) {
     client::Client c = MakeClient(i, 15.0);
-    c.Subscribe(MakeQuery(), NoNoiseParams());
+    c.Subscribe(query, NoNoiseParams());
     const auto answer = c.AnswerQuery(5000);
     ASSERT_TRUE(answer.has_value());
-    proxy0.Receive(answer->shares[0], answer->timestamp_ms);
-    proxy1.Receive(answer->shares[1], answer->timestamp_ms);
+    proxy::Ship(proxy0, query.query_id, answer->shares[0],
+                answer->timestamp_ms);
+    proxy::Ship(proxy1, query.query_id, answer->shares[1],
+                answer->timestamp_ms);
   }
-  proxy0.Forward();
-  proxy1.Forward();
-  const std::vector<std::string> sources = {"proxy0.out", "proxy1.out"};
+  proxy0.ForwardLanes();
+  proxy1.ForwardLanes();
+  const std::vector<std::string> sources = {
+      proxy0.lane_out_topic(query.query_id),
+      proxy1.lane_out_topic(query.query_id)};
 
   bus.polls.clear();
   EXPECT_EQ(aggregator.Drain(), population * 2);
@@ -452,7 +468,8 @@ TEST(AggregatorTest, DrainKeepsPollingWhileBatchesComeBackFull) {
   config.num_proxies = 2;
   config.population = 1;
   Aggregator aggregator(config, bus, [](const WindowedResult&) {});
-  const std::vector<std::string> sources = {"proxy0.out", "proxy1.out"};
+  // MakeQuery's lane outbound topics at proxies 0 and 1.
+  const std::vector<std::string> sources = {"proxy0.q1.out", "proxy1.q1.out"};
   std::vector<std::vector<uint8_t>> payloads;
   for (size_t source = 0; source < sources.size(); ++source) {
     bus.EnsureTopic(sources[source], 4);

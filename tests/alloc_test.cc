@@ -145,9 +145,11 @@ void DecodeOwnedBatch(std::vector<broker::Record> records,
 TEST(AllocRegressionTest, ViewPathAllocatesAtLeast90PercentLess) {
   const crypto::AnswerMessage message = MakeMessage();
 
-  // Owning path: Split -> EncodeShare -> ProduceRecord batch -> owned Poll
-  // -> DecodeOwnedBatch. This is what every epoch paid before the arena.
-  const auto run_owned = [&](broker::Topic& topic, broker::Consumer& consumer,
+  // Owning path: Split -> EncodeShare -> ProduceRecord batch -> owned
+  // per-partition Read -> DecodeOwnedBatch. This is what every epoch paid
+  // before the arena. `offsets` holds the next offset to read per partition.
+  const auto run_owned = [&](broker::Topic& topic,
+                             std::vector<uint64_t>& offsets,
                              crypto::XorSplitter& splitter) {
     std::vector<broker::ProduceRecord> records;
     for (size_t i = 0; i < kAnswersPerEpoch; ++i) {
@@ -159,25 +161,28 @@ TEST(AllocRegressionTest, ViewPathAllocatesAtLeast90PercentLess) {
     }
     topic.AppendBatch(std::move(records));
     OwnedDecodedBatch decoded;
-    for (;;) {
-      std::vector<broker::Record> batch = consumer.Poll(4096);
-      if (batch.empty()) {
-        break;
+    for (size_t p = 0; p < offsets.size(); ++p) {
+      for (;;) {
+        std::vector<broker::Record> batch = topic.Read(p, offsets[p], 4096);
+        if (batch.empty()) {
+          break;
+        }
+        offsets[p] += batch.size();
+        DecodeOwnedBatch(std::move(batch), decoded);
       }
-      DecodeOwnedBatch(std::move(batch), decoded);
     }
     return decoded.shares.size();
   };
 
   broker::Topic owned_topic("owned", 4);
-  broker::Consumer owned_consumer(owned_topic);
+  std::vector<uint64_t> owned_offsets(owned_topic.num_partitions(), 0);
   crypto::XorSplitter owned_splitter(kNumShares,
                                      crypto::ChaCha20Rng::FromSeed(17, 5));
-  run_owned(owned_topic, owned_consumer, owned_splitter);  // warm-up
+  run_owned(owned_topic, owned_offsets, owned_splitter);  // warm-up
   const uint64_t owned_before = AllocCounter::Count();
   size_t owned_shares = 0;
   for (size_t e = 0; e < kEpochs; ++e) {
-    owned_shares += run_owned(owned_topic, owned_consumer, owned_splitter);
+    owned_shares += run_owned(owned_topic, owned_offsets, owned_splitter);
   }
   const uint64_t owned_allocs = AllocCounter::Count() - owned_before;
 

@@ -117,7 +117,7 @@ TEST(AnalystTest, UpdateParamsReachesClients) {
   core::ExecutionParams retuned;
   retuned.sampling_fraction = 0.3;
   retuned.randomization = {0.9, 0.6};
-  sys.UpdateParams(retuned);
+  sys.UpdateParams(query.query_id, retuned);
   // Clients now sample at 0.3: participation drops accordingly.
   const system::EpochStats stats = sys.RunEpoch(5000);
   EXPECT_LT(stats.participants, 30u);
@@ -129,7 +129,7 @@ TEST(AnalystTest, UpdateParamsWithoutQueryThrows) {
   config.num_clients = 2;
   system::PrivApproxSystem sys(config);
   core::ExecutionParams params;
-  EXPECT_THROW(sys.UpdateParams(params), std::logic_error);
+  EXPECT_THROW(sys.UpdateParams(/*query_id=*/1, params), std::logic_error);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for the pub/sub broker substrate: topics, partitions, offsets,
-// consumers, metrics, and concurrent producers.
+// consumers (transport::BusConsumer over an InProcessBus), metrics, and
+// concurrent producers.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,8 @@
 #include <thread>
 
 #include "broker/broker.h"
+#include "transport/inproc_bus.h"
+#include "transport/message_bus.h"
 
 namespace privapprox::broker {
 namespace {
@@ -142,18 +145,23 @@ TEST(TopicTest, ConcurrentProducersLoseNothing) {
 TEST(TopicTest, ConcurrentProduceAndConsume) {
   // A producer thread races a consumer; the consumer must eventually see
   // every record exactly once, in per-partition order.
-  Topic topic("t", 2);
+  Broker broker;
+  Topic& topic = broker.CreateTopic("t", 2);
+  transport::InProcessBus bus(broker);
   constexpr uint64_t kTotal = 20000;
   std::thread producer([&topic] {
     for (uint64_t i = 0; i < kTotal; ++i) {
       topic.Append(i, {static_cast<uint8_t>(i & 0xFF)}, static_cast<int64_t>(i));
     }
   });
-  Consumer consumer(topic);
+  transport::BusConsumer consumer(bus, "t");
   uint64_t seen = 0;
   std::array<int64_t, 2> last_ts = {-1, -1};
+  std::vector<RecordView> batch;
   while (seen < kTotal) {
-    for (const auto& record : consumer.Poll(512)) {
+    batch.clear();
+    consumer.PollInto(512, batch);
+    for (const RecordView& record : batch) {
       const size_t p = topic.PartitionOf(record.key);
       EXPECT_GT(record.timestamp_ms, last_ts[p]);  // per-partition order
       last_ts[p] = record.timestamp_ms;
@@ -186,52 +194,43 @@ TEST(BrokerTest, ProduceRoutesToTopic) {
   EXPECT_EQ(records[0].key, 7u);
 }
 
-TEST(ConsumerTest, PollDrainsAllPartitions) {
-  Broker broker;
-  Topic& topic = broker.CreateTopic("t", 3);
-  for (uint64_t key = 0; key < 100; ++key) {
-    topic.Append(key, {static_cast<uint8_t>(key)}, 0);
-  }
-  Consumer consumer(topic);
-  size_t total = 0;
-  while (!consumer.CaughtUp()) {
-    total += consumer.Poll(7).size();
-  }
-  EXPECT_EQ(total, 100u);
-  EXPECT_EQ(consumer.consumed(), 100u);
-  EXPECT_TRUE(consumer.Poll(10).empty());
-}
-
 TEST(ConsumerTest, ResumesFromOffsetAfterNewData) {
   Broker broker;
   Topic& topic = broker.CreateTopic("t", 1);
+  transport::InProcessBus bus(broker);
   topic.Append(0, {1}, 0);
-  Consumer consumer(topic);
-  EXPECT_EQ(consumer.Poll(10).size(), 1u);
+  transport::BusConsumer consumer(bus, "t");
+  std::vector<RecordView> batch;
+  EXPECT_EQ(consumer.PollInto(10, batch), 1u);
   EXPECT_TRUE(consumer.CaughtUp());
   topic.Append(0, {2}, 0);
   EXPECT_FALSE(consumer.CaughtUp());
-  const auto batch = consumer.Poll(10);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].payload[0], 2);
+  batch.clear();
+  ASSERT_EQ(consumer.PollInto(10, batch), 1u);
+  EXPECT_EQ(batch[0].bytes()[0], 2);
+  EXPECT_EQ(consumer.consumed(), 2u);
+  EXPECT_EQ(consumer.offset(0), 2u);
 }
 
 TEST(ConsumerTest, IndependentConsumersSeeAllData) {
   Broker broker;
   Topic& topic = broker.CreateTopic("t", 2);
+  transport::InProcessBus bus(broker);
   for (uint64_t key = 0; key < 50; ++key) {
     topic.Append(key, {0}, 0);
   }
-  Consumer a(topic), b(topic);
+  transport::BusConsumer a(bus, "t"), b(bus, "t");
+  std::vector<RecordView> batch;
   size_t count_a = 0, count_b = 0;
   while (!a.CaughtUp()) {
-    count_a += a.Poll(8).size();
+    count_a += a.PollInto(8, batch);
   }
   while (!b.CaughtUp()) {
-    count_b += b.Poll(8).size();
+    count_b += b.PollInto(8, batch);
   }
   EXPECT_EQ(count_a, 50u);
   EXPECT_EQ(count_b, 50u);
+  EXPECT_EQ(batch.size(), 100u);
 }
 
 // ------------------------------------------------- slab-backed view paths

@@ -1,7 +1,6 @@
 // Tests for the dataflow engine: sliding-window assignment, the windowed
-// buffer with watermarks and late data, the MID share join (including
-// replay/duplicate defense and partial-group eviction), and the pull
-// pipeline.
+// buffer with watermarks and late data, and the MID share join (including
+// replay/duplicate defense and partial-group eviction).
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 
 #include "crypto/xor_cipher.h"
 #include "engine/join.h"
-#include "engine/pipeline.h"
 #include "engine/window.h"
 
 namespace privapprox::engine {
@@ -743,40 +741,6 @@ TEST(MidJoinerTest, MatchesFullScanReferenceOnRandomizedStreams) {
   EXPECT_GT(covered.duplicates_dropped, 0u);
   EXPECT_GT(covered.evicted_partial, 0u);
   EXPECT_GT(covered.late_dropped, 0u);
-}
-
-// ----------------------------------------------------------------- pipeline
-
-TEST(PullPipelineTest, SequentialDrainSeesEveryRecord) {
-  broker::Broker b;
-  broker::Topic& topic = b.CreateTopic("t", 2);
-  for (uint64_t key = 0; key < 1000; ++key) {
-    topic.Append(key, {1}, 0);
-  }
-  broker::Consumer consumer(topic);
-  size_t seen = 0;
-  const auto stats = PullPipeline::DrainSequential(
-      consumer,
-      [&](std::vector<broker::Record>&& batch) { seen += batch.size(); },
-      128);
-  EXPECT_EQ(seen, 1000u);
-  EXPECT_EQ(stats.records, 1000u);
-  EXPECT_GT(stats.batches, 1u);
-}
-
-TEST(PullPipelineTest, ParallelDrainCountsMatch) {
-  broker::Broker b;
-  broker::Topic& topic = b.CreateTopic("t", 4);
-  for (uint64_t key = 0; key < 5000; ++key) {
-    topic.Append(key, {1}, 0);
-  }
-  broker::Consumer consumer(topic);
-  ThreadPool pool(4);
-  std::atomic<size_t> seen{0};
-  const auto stats = PullPipeline::DrainParallel(
-      consumer, pool, [&](const broker::Record&) { seen++; }, 512);
-  EXPECT_EQ(seen.load(), 5000u);
-  EXPECT_EQ(stats.records, 5000u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "client/client.h"
 #include "engine/watermark.h"
 #include "proxy/proxy.h"
+#include "ship_share.h"
 #include "system/system.h"
 #include "transport/inproc_bus.h"
 
@@ -52,6 +53,8 @@ struct Harness {
       : query(MakeQuery()),
         proxy0(proxy::ProxyConfig{0, 2}, bus),
         proxy1(proxy::ProxyConfig{1, 2}, bus) {
+    proxy0.EnsureLane(query.query_id);
+    proxy1.EnsureLane(query.query_id);
     aggregator::AggregatorConfig config;
     config.num_proxies = 2;
     config.population = population;
@@ -59,7 +62,19 @@ struct Harness {
         config, bus, [this](const aggregator::WindowedResult& r) {
           results.push_back(r);
         });
+    // Default source topics: each proxy's lane outbound for the query.
     agg->RegisterQuery(query, ExactParams());
+  }
+
+  // Enqueues one share on the query's lane at `target`.
+  void Ship(proxy::Proxy& target, const crypto::MessageShare& share,
+            int64_t ts) {
+    proxy::Ship(target, query.query_id, share, ts);
+  }
+
+  void Forward() {
+    proxy0.ForwardLanes();
+    proxy1.ForwardLanes();
   }
 
   broker::Broker broker;
@@ -84,14 +99,13 @@ TEST(FailureTest, RandomShareLossDegradesGracefully) {
     client::Client c = MakeClient(i, 25.0);
     c.Subscribe(harness.query, ExactParams());
     const auto answer = c.AnswerQuery(5000);
-    harness.proxy0.Receive(answer->shares[0], 5000);
+    harness.Ship(harness.proxy0, answer->shares[0], 5000);
     if (rng.NextBernoulli(0.8)) {
-      harness.proxy1.Receive(answer->shares[1], 5000);
+      harness.Ship(harness.proxy1, answer->shares[1], 5000);
       ++delivered;
     }
   }
-  harness.proxy0.Forward();
-  harness.proxy1.Forward();
+  harness.Forward();
   harness.agg->Drain();
   harness.agg->Flush();
   ASSERT_EQ(harness.results.size(), 1u);
@@ -113,10 +127,10 @@ TEST(FailureTest, TotalProxyOutageYieldsNoResultsNotGarbage) {
     client::Client c = MakeClient(i, 25.0);
     c.Subscribe(harness.query, ExactParams());
     const auto answer = c.AnswerQuery(5000);
-    harness.proxy0.Receive(answer->shares[0], 5000);
+    harness.Ship(harness.proxy0, answer->shares[0], 5000);
     // Proxy 1 is down: nothing arrives there.
   }
-  harness.proxy0.Forward();
+  harness.Forward();
   harness.agg->Drain();
   harness.agg->AdvanceWatermark(1000000);  // evicts all partial groups
   EXPECT_TRUE(harness.results.empty());
@@ -134,12 +148,11 @@ TEST(FailureTest, DuplicatedRecordsInTransitAreDropped) {
     c.Subscribe(harness.query, ExactParams());
     const auto answer = c.AnswerQuery(5000);
     for (int copy = 0; copy < 2; ++copy) {
-      harness.proxy0.Receive(answer->shares[0], 5000);
-      harness.proxy1.Receive(answer->shares[1], 5000);
+      harness.Ship(harness.proxy0, answer->shares[0], 5000);
+      harness.Ship(harness.proxy1, answer->shares[1], 5000);
     }
   }
-  harness.proxy0.Forward();
-  harness.proxy1.Forward();
+  harness.Forward();
   harness.agg->Drain();
   harness.agg->Flush();
   ASSERT_EQ(harness.results.size(), 1u);
@@ -221,14 +234,13 @@ TEST(FailureTest, OutOfOrderArrivalWithStreamWatermark) {
     client::Client c = MakeClient(id, 25.0);
     c.Subscribe(harness.query, ExactParams());
     const auto answer = c.AnswerQuery(ts);
-    harness.proxy0.Receive(answer->shares[0], ts);
-    harness.proxy1.Receive(answer->shares[1], ts);
+    harness.Ship(harness.proxy0, answer->shares[0], ts);
+    harness.Ship(harness.proxy1, answer->shares[1], ts);
   };
   send_at(0, 9000);
   send_at(1, 12000);  // later epoch arrives before epoch-1 stragglers
   send_at(2, 9500);   // straggler within the 1000 ms bound
-  harness.proxy0.Forward();
-  harness.proxy1.Forward();
+  harness.Forward();
   harness.agg->Drain();
   harness.agg->AdvanceWatermarkToStream();
   // Stream watermark = 12000 - 1000 = 11000 >= 10000: the first window

@@ -108,8 +108,7 @@ TEST(QueryDistributionTest, AnnouncementReachesClientThroughProxy) {
   proxy.AnnounceQuery(SerializeAnnouncement(ann), 0);
   EXPECT_EQ(proxy.ForwardQueries(), 1u);
 
-  broker::Consumer consumer(b.GetTopic(proxy.query_out_topic()));
-  const auto records = consumer.Poll(4);
+  const auto records = b.GetTopic(proxy.query_out_topic()).Read(0, 0, 4);
   ASSERT_EQ(records.size(), 1u);
 
   client::Client client(client::ClientConfig{0, 2, 1});

@@ -38,6 +38,8 @@
 #include "localdb/database.h"
 #include "storage/partition_log.h"
 #include "system/system.h"
+#include "transport/tcp_bus.h"
+#include "transport/wire.h"
 
 namespace privapprox::deploy {
 namespace {
@@ -341,6 +343,60 @@ TEST(SocketRestartTest, DurableDeploymentMatchesMemoryOnly) {
   EXPECT_EQ(SerializeResults(RunSocketDeployment(queries, RestartSpec{},
                                                  /*force_durable=*/true)),
             SerializeResults(RunInProcessReference(queries)));
+}
+
+// Upgrade path: a data dir written before proxies dropped their QID-less
+// topic pair still holds (empty) "proxy0.in"/"proxy0.out" directories next
+// to its lanes. A daemon opened on it recovers them as inert topics,
+// rediscovers lane 7 from its topic names, forwards the lane's pending
+// records, and never writes to the legacy pair.
+TEST(SocketRestartTest, ProxyDaemonOpensDataDirWithLegacyTopics) {
+  constexpr size_t kPartitions = 4;
+  constexpr uint64_t kPending = 25;
+  TempDir data_root;
+  const fs::path dir = data_root.path() / "proxyd0";
+  {
+    broker::Broker old;
+    old.EnableDurability({dir, {}});
+    for (const char* name : {"proxy0.in", "proxy0.out", "proxy0.q7.out"}) {
+      old.CreateTopic(name, kPartitions);
+    }
+    old.CreateTopic("proxy0.query.in", 1);
+    old.CreateTopic("proxy0.query.out", 1);
+    broker::Topic& lane_in = old.CreateTopic("proxy0.q7.in", kPartitions);
+    for (uint64_t mid = 0; mid < kPending; ++mid) {
+      lane_in.Append(mid, std::vector<uint8_t>(12, static_cast<uint8_t>(mid)),
+                     1000);
+    }
+  }
+
+  ProxyDaemonConfig config;
+  config.proxy_index = 0;
+  config.num_partitions = kPartitions;
+  config.data_dir = dir.string();
+  ProxyDaemon daemon(config);
+  daemon.Start();
+  transport::TcpBusClientConfig client_config;
+  client_config.port = daemon.port();
+  transport::TcpBusClient bus(client_config);
+
+  const auto total = [&bus](const std::string& topic) {
+    uint64_t sum = 0;
+    for (size_t p = 0; p < kPartitions; ++p) {
+      sum += bus.EndOffset(topic, p);
+    }
+    return sum;
+  };
+  const std::vector<uint8_t> snapshot = bus.Control("snapshot_offsets");
+  EXPECT_NE(std::string(snapshot.begin(), snapshot.end()).find("lane q7 "),
+            std::string::npos);
+  EXPECT_EQ(transport::WireReader(bus.Control("forward_lanes")).TakeU64(),
+            kPending);
+  EXPECT_EQ(total("proxy0.q7.out"), kPending);
+  EXPECT_EQ(transport::WireReader(bus.Control("forward_lanes")).TakeU64(), 0u);
+  EXPECT_EQ(total("proxy0.in"), 0u);
+  EXPECT_EQ(total("proxy0.out"), 0u);
+  daemon.Stop();
 }
 
 }  // namespace
