@@ -5,8 +5,9 @@
 // genuine shares (taxi answers are 11-bit vectors, electricity answers
 // 6-bit — the size difference is why the electricity series sits higher at
 // the proxies). The core and node sweeps extrapolate through the calibrated
-// cluster model (net/topology.h): this container exposes one CPU and the
-// paper's 44-node testbed does not fit in one process.
+// cluster model (net/topology.h): they are model-only and never read the
+// host's core count, and the paper's 44-node testbed does not fit in one
+// process.
 
 #include <atomic>
 #include <chrono>
@@ -147,11 +148,11 @@ void PrintScaleUp(const char* title, double taxi_rate_per_sec,
 
 int main() {
   std::printf(
-      "Figure 8: scale-up and scale-out. This container exposes a single\n"
-      "CPU, so per-core rates are measured for real on one core and the\n"
-      "core/node sweeps use the calibrated cluster model (DESIGN.md\n"
-      "substitution table; sub-linear efficiency 0.85/core as on real "
-      "hardware).\n\n");
+      "Figure 8: scale-up and scale-out. Per-core rates are measured for\n"
+      "real on one thread of this host; the core/node sweeps are model-only\n"
+      "(they do not read the host's core count) and use the calibrated\n"
+      "cluster model (DESIGN.md substitution table; sub-linear efficiency\n"
+      "0.85/core as on real hardware).\n\n");
 
   // Calibration: real single-threaded rates on this host.
   const double proxy_taxi = MeasureProxyThroughput(11);

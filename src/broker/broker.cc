@@ -74,6 +74,7 @@ DurableStats Broker::durable_stats() const {
     stats.segments += topic_stats.segments;
     stats.bytes += topic_stats.bytes;
     stats.fsyncs += topic_stats.fsyncs;
+    stats.writes += topic_stats.writes;
     stats.recovered_records += topic_stats.recovered_records;
     stats.truncated_tails += topic_stats.truncated_tails;
   }

@@ -87,26 +87,29 @@ void Topic::AppendToMemory(Partition& partition, uint64_t key,
       dst, static_cast<uint32_t>(payload.size()), timestamp_ms, key});
 }
 
-void Topic::AppendLocked(Partition& partition, uint64_t key,
-                         std::span<const uint8_t> payload,
-                         int64_t timestamp_ms) {
-  AppendToMemory(partition, key, payload, timestamp_ms);
+void Topic::AppendLocked(Partition& partition,
+                         std::span<const ProduceView> run) {
+  EnsureIndexCapacity(partition, run.size());
+  for (const ProduceView& record : run) {
+    AppendToMemory(partition, record.key, record.payload, record.timestamp_ms);
+  }
   if (partition.log != nullptr) {
     // Disk stays in lockstep with memory: the log's end offset equals
     // base + index.size() by construction (replay filled exactly
-    // [base, end), and every append lands in both under this lock).
-    partition.log->Append(key, timestamp_ms, payload);
+    // [base, end), and every run lands in both under this lock).
+    partition.log->AppendBatch(run);
   }
 }
 
 uint64_t Topic::Append(uint64_t key, std::span<const uint8_t> payload,
                        int64_t timestamp_ms) {
+  const ProduceView record{key, payload, timestamp_ms};
   Partition& partition = partitions_[PartitionOf(key)];
   uint64_t offset;
   {
     std::lock_guard<std::mutex> lock(partition.mu);
     offset = partition.base + partition.index.size();
-    AppendLocked(partition, key, payload, timestamp_ms);
+    AppendLocked(partition, std::span<const ProduceView>(&record, 1));
   }
   records_in_.fetch_add(1, std::memory_order_relaxed);
   bytes_in_.fetch_add(payload.size(), std::memory_order_relaxed);
@@ -114,41 +117,13 @@ uint64_t Topic::Append(uint64_t key, std::span<const uint8_t> payload,
 }
 
 void Topic::AppendBatch(std::vector<ProduceRecord> records) {
-  if (records.empty()) {
-    return;
+  std::vector<ProduceView> views;
+  views.reserve(records.size());
+  for (const ProduceRecord& record : records) {
+    views.push_back(ProduceView{record.key, record.payload,
+                                record.timestamp_ms});
   }
-  uint64_t bytes = 0;
-  for (const auto& record : records) {
-    bytes += record.payload.size();
-  }
-  if (partitions_.size() == 1) {
-    Partition& partition = partitions_[0];
-    std::lock_guard<std::mutex> lock(partition.mu);
-    EnsureIndexCapacity(partition, records.size());
-    for (const auto& record : records) {
-      AppendLocked(partition, record.key, record.payload,
-                   record.timestamp_ms);
-    }
-  } else {
-    std::vector<std::vector<size_t>> by_partition(partitions_.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      by_partition[PartitionOf(records[i].key)].push_back(i);
-    }
-    for (size_t p = 0; p < partitions_.size(); ++p) {
-      if (by_partition[p].empty()) {
-        continue;
-      }
-      Partition& partition = partitions_[p];
-      std::lock_guard<std::mutex> lock(partition.mu);
-      EnsureIndexCapacity(partition, by_partition[p].size());
-      for (size_t i : by_partition[p]) {
-        AppendLocked(partition, records[i].key, records[i].payload,
-                     records[i].timestamp_ms);
-      }
-    }
-  }
-  records_in_.fetch_add(records.size(), std::memory_order_relaxed);
-  bytes_in_.fetch_add(bytes, std::memory_order_relaxed);
+  AppendViews(views);
 }
 
 void Topic::AppendViews(std::span<const ProduceView> records) {
@@ -162,38 +137,31 @@ void Topic::AppendViews(std::span<const ProduceView> records) {
   if (partitions_.size() == 1) {
     Partition& partition = partitions_[0];
     std::lock_guard<std::mutex> lock(partition.mu);
-    EnsureIndexCapacity(partition, records.size());
-    for (const auto& record : records) {
-      AppendLocked(partition, record.key, record.payload,
-                   record.timestamp_ms);
-    }
+    AppendLocked(partition, records);
   } else {
-    // Route once into a reused thread-local scratch (amortized
-    // allocation-free), then take each partition lock once. Partition count
-    // is bounded by the scratch element type.
+    // Route once, gather each partition's run into reused thread-local
+    // scratch (amortized allocation-free), then take each partition lock
+    // once. Partition count is bounded by the route element type.
     static thread_local std::vector<uint8_t> routes;
-    static thread_local std::vector<uint32_t> counts;
+    static thread_local std::vector<ProduceView> run;
     routes.clear();
     routes.reserve(records.size());
-    counts.assign(partitions_.size(), 0);
     for (const auto& record : records) {
-      const uint8_t p = static_cast<uint8_t>(PartitionOf(record.key));
-      routes.push_back(p);
-      ++counts[p];
+      routes.push_back(static_cast<uint8_t>(PartitionOf(record.key)));
     }
     for (size_t p = 0; p < partitions_.size(); ++p) {
-      if (counts[p] == 0) {
+      run.clear();
+      for (size_t i = 0; i < records.size(); ++i) {
+        if (routes[i] == p) {
+          run.push_back(records[i]);
+        }
+      }
+      if (run.empty()) {
         continue;
       }
       Partition& partition = partitions_[p];
       std::lock_guard<std::mutex> lock(partition.mu);
-      EnsureIndexCapacity(partition, counts[p]);
-      for (size_t i = 0; i < records.size(); ++i) {
-        if (routes[i] == p) {
-          AppendLocked(partition, records[i].key, records[i].payload,
-                       records[i].timestamp_ms);
-        }
-      }
+      AppendLocked(partition, run);
     }
   }
   records_in_.fetch_add(records.size(), std::memory_order_relaxed);
@@ -314,6 +282,7 @@ DurableStats Topic::durable_stats() const {
     stats.segments += log_stats.segments;
     stats.bytes += log_stats.bytes;
     stats.fsyncs += log_stats.fsyncs;
+    stats.writes += log_stats.writes;
     stats.recovered_records += log_stats.recovered_records;
     stats.truncated_tails += log_stats.truncated_tails;
   }

@@ -63,12 +63,9 @@ struct ProduceRecord {
 
 // Zero-copy produce: the payload span (typically arena- or slab-backed)
 // only needs to stay valid for the duration of the append call — the topic
-// copies it into its own slab.
-struct ProduceView {
-  uint64_t key = 0;
-  std::span<const uint8_t> payload;
-  int64_t timestamp_ms = 0;
-};
+// copies it into its own slab. The same type is the partition log's record,
+// so a durable partition hands its batch run to the log unchanged.
+using ProduceView = storage::LogRecord;
 
 // Per-topic counters used by the throughput/network benchmarks.
 struct TopicMetrics {
@@ -104,6 +101,7 @@ struct DurableStats {
   uint64_t segments = 0;
   uint64_t bytes = 0;
   uint64_t fsyncs = 0;
+  uint64_t writes = 0;
   uint64_t recovered_records = 0;
   uint64_t truncated_tails = 0;
 };
@@ -146,15 +144,17 @@ class Topic {
     return Append(key, std::span<const uint8_t>(payload), timestamp_ms);
   }
 
-  // Appends a whole batch, grouping records by partition so each partition
+  // Zero-copy batch append: groups records by partition so each partition
   // lock is taken once per batch instead of once per record, with the
-  // per-partition index growth reserved up front. Relative order of records
-  // mapping to the same partition is preserved, so the resulting log is
-  // byte-identical to appending the batch one record at a time.
-  void AppendBatch(std::vector<ProduceRecord> records);
-  // Zero-copy batch append: same ordering guarantees, payload bytes copied
-  // once from the caller's spans into partition slabs.
+  // per-partition index growth reserved up front and, on a durable topic,
+  // the partition's whole run handed to its log in one AppendBatch. Relative
+  // order of records mapping to the same partition is preserved, so the
+  // resulting log is byte-identical to appending the batch one record at a
+  // time. Payload bytes are copied once from the caller's spans into
+  // partition slabs.
   void AppendViews(std::span<const ProduceView> records);
+  // Owning-record form of AppendViews.
+  void AppendBatch(std::vector<ProduceRecord> records);
 
   // Pre-commits capacity in `partition`: index slots for `records` more
   // entries and one contiguous slab run of `payload_bytes`. Appends within
@@ -220,15 +220,15 @@ class Topic {
 
   // All helpers require the partition lock to be held. AppendToMemory is
   // the slab+index half (also the recovery replay path); AppendLocked
-  // additionally spills to the partition log when one is attached.
+  // appends a run of records bound for `partition` to memory and, when a
+  // log is attached, spills the run through one PartitionLog::AppendBatch.
   static uint8_t* SlabAlloc(Partition& partition, size_t len);
   static void EnsureIndexCapacity(Partition& partition, size_t additional);
   static void AppendToMemory(Partition& partition, uint64_t key,
                              std::span<const uint8_t> payload,
                              int64_t timestamp_ms);
-  static void AppendLocked(Partition& partition, uint64_t key,
-                           std::span<const uint8_t> payload,
-                           int64_t timestamp_ms);
+  static void AppendLocked(Partition& partition,
+                           std::span<const ProduceView> run);
 
   std::string name_;
   bool durable_ = false;

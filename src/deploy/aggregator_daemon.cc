@@ -72,6 +72,8 @@ AggregatorDaemon::AggregatorDaemon(AggregatorDaemonConfig config)
                                       "Bytes held in the query journal");
     auto* fsyncs = &registry_.GetGauge("privapprox_storage_fsyncs",
                                        "fsync calls issued by the journal");
+    auto* writes = &registry_.GetGauge("privapprox_storage_writes",
+                                       "write(2) calls issued by the journal");
     auto* recovered = &registry_.GetGauge(
         "privapprox_storage_recovered_records",
         "Journal records replayed at startup");
@@ -79,11 +81,12 @@ AggregatorDaemon::AggregatorDaemon(AggregatorDaemonConfig config)
         "privapprox_storage_truncated_tails",
         "Torn journal tails truncated during recovery");
     registry_.AddCollector(
-        [this, segments, bytes, fsyncs, recovered, truncated] {
+        [this, segments, bytes, fsyncs, writes, recovered, truncated] {
           const storage::PartitionLogStats s = journal_->stats();
           segments->Set(static_cast<int64_t>(s.segments));
           bytes->Set(static_cast<int64_t>(s.bytes));
           fsyncs->Set(static_cast<int64_t>(s.fsyncs));
+          writes->Set(static_cast<int64_t>(s.writes));
           recovered->Set(static_cast<int64_t>(s.recovered_records));
           truncated->Set(static_cast<int64_t>(s.truncated_tails));
         });

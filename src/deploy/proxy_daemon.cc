@@ -36,6 +36,8 @@ ProxyDaemon::ProxyDaemon(ProxyDaemonConfig config) : config_(std::move(config)) 
                                       "Bytes held in live log segments");
     auto* fsyncs = &registry_.GetGauge("privapprox_storage_fsyncs",
                                        "fsync calls issued by partition logs");
+    auto* writes = &registry_.GetGauge(
+        "privapprox_storage_writes", "write(2) calls issued by partition logs");
     auto* recovered = &registry_.GetGauge(
         "privapprox_storage_recovered_records",
         "Records replayed from disk at startup");
@@ -43,11 +45,12 @@ ProxyDaemon::ProxyDaemon(ProxyDaemonConfig config) : config_(std::move(config)) 
         "privapprox_storage_truncated_tails",
         "Torn record tails truncated during recovery");
     registry_.AddCollector(
-        [this, segments, bytes, fsyncs, recovered, truncated] {
+        [this, segments, bytes, fsyncs, writes, recovered, truncated] {
           const broker::DurableStats s = broker_.durable_stats();
           segments->Set(static_cast<int64_t>(s.segments));
           bytes->Set(static_cast<int64_t>(s.bytes));
           fsyncs->Set(static_cast<int64_t>(s.fsyncs));
+          writes->Set(static_cast<int64_t>(s.writes));
           recovered->Set(static_cast<int64_t>(s.recovered_records));
           truncated->Set(static_cast<int64_t>(s.truncated_tails));
         });
@@ -115,7 +118,8 @@ std::string ProxyDaemon::SnapshotOffsetsText() const {
   }
   const broker::DurableStats s = broker_.durable_stats();
   out << "storage segments=" << s.segments << " bytes=" << s.bytes
-      << " fsyncs=" << s.fsyncs << " recovered_records=" << s.recovered_records
+      << " fsyncs=" << s.fsyncs << " writes=" << s.writes
+      << " recovered_records=" << s.recovered_records
       << " truncated_tails=" << s.truncated_tails << "\n";
   return out.str();
 }

@@ -1,5 +1,7 @@
-// CRC-32 (IEEE 802.3 polynomial, reflected, table-driven) — integrity
-// checksum for the durable answer log's records.
+// CRC-32 (IEEE 802.3 polynomial, reflected 0xEDB88320, slicing-by-8) —
+// integrity checksum for partition-log records and transport frames. This
+// is CRC-32, not CRC-32C: the SSE4.2 crc32 instruction computes the other
+// polynomial and would change every checksum on disk and on the wire.
 
 #ifndef PRIVAPPROX_STORAGE_CRC32_H_
 #define PRIVAPPROX_STORAGE_CRC32_H_

@@ -32,15 +32,15 @@ std::string SegmentName(uint64_t base_offset) {
   return buffer;
 }
 
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
+void StoreU32(uint8_t* p, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
   }
 }
 
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
+void StoreU64(uint8_t* p, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
   }
 }
 
@@ -60,15 +60,20 @@ uint64_t GetU64(const uint8_t* p) {
   return v;
 }
 
+// The error path names the segment file; the path is only built when a
+// write actually fails, so the append path allocates nothing for it.
 void WriteAll(int fd, const uint8_t* data, size_t len,
-              const std::filesystem::path& path) {
+              const std::filesystem::path& directory,
+              const std::string& segment_name, uint64_t& writes) {
   while (len > 0) {
     const ssize_t n = ::write(fd, data, len);
+    ++writes;
     if (n < 0) {
       if (errno == EINTR) {
         continue;
       }
-      throw SegmentLogError("write failed on " + path.string() + ": " +
+      throw SegmentLogError("write failed on " +
+                            (directory / segment_name).string() + ": " +
                             std::strerror(errno));
     }
     data += n;
@@ -276,10 +281,7 @@ void PartitionLog::DoFsync() {
   records_since_sync_ = 0;
 }
 
-void PartitionLog::RotateIfNeeded() {
-  if (segments_.back().bytes < options_.max_segment_bytes) {
-    return;
-  }
+void PartitionLog::Rotate() {
   // Seal the active segment. Every policy but kNever pays one fsync here so
   // a sealed segment is durable before appends move past it.
   if (options_.fsync != FsyncPolicy::kNever) {
@@ -300,43 +302,64 @@ void PartitionLog::RotateIfNeeded() {
   }
 }
 
+void PartitionLog::WritePending(uint64_t records) {
+  if (records == 0) {
+    return;
+  }
+  Segment& active = segments_.back();
+  WriteAll(fd_, scratch_.data(), scratch_.size(), directory_, active.name,
+           writes_);
+  active.bytes += scratch_.size();
+  active.records += records;
+  end_offset_ += records;
+  scratch_.clear();
+}
+
+uint64_t PartitionLog::AppendBatch(std::span<const LogRecord> records) {
+  const uint64_t first = end_offset_;
+  const uint64_t every_n = std::max<uint64_t>(1, options_.fsync_every_n);
+  scratch_.clear();
+  uint64_t pending = 0;
+  for (const LogRecord& record : records) {
+    // The one-by-one rule: rotate before a record once the active segment
+    // (counting the frames not yet written) has reached its size bound.
+    if (segments_.back().bytes + scratch_.size() >=
+        options_.max_segment_bytes) {
+      WritePending(pending);
+      pending = 0;
+      Rotate();
+    }
+    const size_t at = scratch_.size();
+    const size_t body = 16 + record.payload.size();
+    scratch_.resize(at + 8 + body);
+    uint8_t* frame = scratch_.data() + at;
+    StoreU32(frame, static_cast<uint32_t>(body));
+    StoreU64(frame + 8, record.key);
+    StoreU64(frame + 16, static_cast<uint64_t>(record.timestamp_ms));
+    if (!record.payload.empty()) {
+      std::memcpy(frame + 24, record.payload.data(), record.payload.size());
+    }
+    StoreU32(frame + 4, Crc32(frame + 8, body));
+    ++pending;
+
+    const bool sync_now =
+        options_.fsync == FsyncPolicy::kAlways ||
+        (options_.fsync == FsyncPolicy::kEveryNRecords &&
+         ++records_since_sync_ >= every_n);
+    if (sync_now) {
+      WritePending(pending);
+      pending = 0;
+      DoFsync();
+    }
+  }
+  WritePending(pending);
+  return first;
+}
+
 uint64_t PartitionLog::Append(uint64_t key, int64_t timestamp_ms,
                               std::span<const uint8_t> payload) {
-  RotateIfNeeded();
-  scratch_.clear();
-  scratch_.reserve(24 + payload.size());
-  PutU32(scratch_, static_cast<uint32_t>(16 + payload.size()));
-  PutU32(scratch_, 0);  // crc patched below
-  PutU64(scratch_, key);
-  PutU64(scratch_, static_cast<uint64_t>(timestamp_ms));
-  scratch_.insert(scratch_.end(), payload.begin(), payload.end());
-  const uint32_t crc = Crc32(scratch_.data() + 8, scratch_.size() - 8);
-  for (int i = 0; i < 4; ++i) {
-    scratch_[4 + i] = static_cast<uint8_t>(crc >> (8 * i));
-  }
-  WriteAll(fd_, scratch_.data(), scratch_.size(),
-           directory_ / segments_.back().name);
-
-  Segment& active = segments_.back();
-  active.bytes += scratch_.size();
-  ++active.records;
-  const uint64_t offset = end_offset_++;
-
-  switch (options_.fsync) {
-    case FsyncPolicy::kAlways:
-      DoFsync();
-      break;
-    case FsyncPolicy::kEveryNRecords:
-      if (++records_since_sync_ >=
-          std::max<uint64_t>(1, options_.fsync_every_n)) {
-        DoFsync();
-      }
-      break;
-    case FsyncPolicy::kNever:
-    case FsyncPolicy::kOnRotate:
-      break;
-  }
-  return offset;
+  const LogRecord record{key, payload, timestamp_ms};
+  return AppendBatch(std::span<const LogRecord>(&record, 1));
 }
 
 void PartitionLog::Sync() {
@@ -383,6 +406,7 @@ PartitionLogStats PartitionLog::stats() const {
     stats.bytes += segment.bytes;
   }
   stats.fsyncs = fsyncs_;
+  stats.writes = writes_;
   stats.recovered_records = recovered_records_;
   stats.truncated_tails = truncated_tails_;
   return stats;

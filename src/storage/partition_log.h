@@ -26,9 +26,13 @@
 //
 // Durability: writes go through a POSIX fd; the fsync policy decides when
 // the log pays for an fsync (never / sealing a segment on rotation / every
-// N records / every record). One exclusive flock per directory (DirLock)
-// makes double-opening the same log — from this or another process — a
-// clear SegmentLogError instead of silently interleaved appends.
+// N records / every record). AppendBatch frames a whole batch into one
+// buffer and issues one write(2) per segment run; a flush is forced only
+// where rotation or an fsync needs the bytes on disk, so the files and the
+// fsync count equal appending the records one by one. One exclusive flock
+// per directory (DirLock) makes double-opening the same log — from this or
+// another process — a clear SegmentLogError instead of silently
+// interleaved appends.
 
 #ifndef PRIVAPPROX_STORAGE_PARTITION_LOG_H_
 #define PRIVAPPROX_STORAGE_PARTITION_LOG_H_
@@ -63,6 +67,14 @@ enum class FsyncPolicy {
 FsyncPolicy ParseFsyncPolicy(const std::string& name);
 const char* FsyncPolicyName(FsyncPolicy policy);
 
+// One record to append. The payload only needs to stay valid for the
+// duration of the append call; the log copies it into its framing buffer.
+struct LogRecord {
+  uint64_t key = 0;
+  std::span<const uint8_t> payload;
+  int64_t timestamp_ms = 0;
+};
+
 struct PartitionLogOptions {
   // Rotate to a new segment once the active one reaches this size.
   uint64_t max_segment_bytes = 4 * 1024 * 1024;
@@ -77,6 +89,7 @@ struct PartitionLogStats {
   uint64_t segments = 0;           // live segment files
   uint64_t bytes = 0;              // bytes across live segments
   uint64_t fsyncs = 0;             // fsync calls issued so far
+  uint64_t writes = 0;             // write(2) calls issued so far
   uint64_t recovered_records = 0;  // valid records replayed at open
   uint64_t truncated_tails = 0;    // torn tail records truncated at open
 };
@@ -115,8 +128,13 @@ class PartitionLog {
   PartitionLog(const PartitionLog&) = delete;
   PartitionLog& operator=(const PartitionLog&) = delete;
 
-  // Appends one record and returns its assigned offset (== end_offset()
-  // before the call). Durability per the fsync policy.
+  // Appends `records` in order and returns the offset assigned to the
+  // first (== end_offset() before the call). Rotation and fsyncs happen
+  // before/after exactly the records they would for one-by-one appends;
+  // between those points the frames go out in a single write(2).
+  uint64_t AppendBatch(std::span<const LogRecord> records);
+
+  // AppendBatch of one record.
   uint64_t Append(uint64_t key, int64_t timestamp_ms,
                   std::span<const uint8_t> payload);
 
@@ -152,8 +170,11 @@ class PartitionLog {
   };
 
   void OpenActive();
-  void RotateIfNeeded();
+  void Rotate();
   void DoFsync();
+  // Writes the frames pending in scratch_ (`records` of them) to the active
+  // segment and accounts them.
+  void WritePending(uint64_t records);
 
   std::filesystem::path directory_;
   PartitionLogOptions options_;
@@ -163,9 +184,12 @@ class PartitionLog {
   uint64_t end_offset_ = 0;
   uint64_t records_since_sync_ = 0;
   uint64_t fsyncs_ = 0;
+  uint64_t writes_ = 0;
   uint64_t recovered_records_ = 0;
   uint64_t truncated_tails_ = 0;
-  std::vector<uint8_t> scratch_;  // record framing buffer, reused
+  // Batch framing buffer, reused. Frames pending in it never outgrow one
+  // segment (plus one record): reaching max_segment_bytes flushes them.
+  std::vector<uint8_t> scratch_;
 };
 
 }  // namespace privapprox::storage

@@ -335,6 +335,10 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
                       "fsync calls issued by partition logs")
             .Set(static_cast<int64_t>(s.fsyncs));
         registry_
+            .GetGauge("privapprox_storage_writes",
+                      "write(2) calls issued by partition logs")
+            .Set(static_cast<int64_t>(s.writes));
+        registry_
             .GetGauge("privapprox_storage_recovered_records",
                       "Records replayed from disk at startup")
             .Set(static_cast<int64_t>(s.recovered_records));

@@ -10,6 +10,9 @@
 //   2. Relative: the view path allocates >= 90% less than the owning
 //      (vector-per-payload) path it replaced, measured in the same binary.
 //
+// A third test pins the durable write path: spilling through partition
+// logs adds no heap allocation per record on top of the memory-only topic.
+//
 // The streaming pipeline's per-epoch machinery (channels, stage threads,
 // join hash tables) allocates by design; what must not allocate is the
 // per-share work these tests drive directly.
@@ -18,7 +21,13 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <filesystem>
+#include <random>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "broker/broker.h"
 #include "common/alloc_counter.h"
@@ -27,6 +36,7 @@
 #include "crypto/message.h"
 #include "crypto/xor_cipher.h"
 #include "proxy/proxy.h"
+#include "storage/partition_log.h"
 #include "system/system.h"
 #include "transport/inproc_bus.h"
 #include "transport/message_bus.h"
@@ -232,6 +242,67 @@ TEST(AllocRegressionTest, ViewPathAllocatesAtLeast90PercentLess) {
   // a handful of chunks here.)
   EXPECT_LE(view_allocs * 10, owned_allocs)
       << "owned=" << owned_allocs << " view=" << view_allocs;
+}
+
+// The durable write path: after warm-up, AppendViews on a durable topic
+// (fsync never) frames each partition's run into its log's reused buffer
+// and writes it once, so it allocates nothing per record. It may only add
+// amortised buffer growth to what the memory-only topic allocates for the
+// same appends (slab chunks and index growth).
+TEST(AllocRegressionTest, DurableAppendViewsAllocatesNothingPerRecord) {
+  static std::atomic<int> counter{0};
+  std::random_device rd;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("privapprox_alloc_test_" + std::to_string(::getpid()) + "_" +
+       std::to_string(counter++) + "_" + std::to_string(rd()));
+  std::filesystem::remove_all(dir);
+  {
+    broker::TopicDurability durability;
+    durability.directory = dir;
+    durability.log.fsync = storage::FsyncPolicy::kNever;
+    broker::Topic durable("durable", 4, durability);
+    broker::Topic memory("memory", 4);
+
+    const crypto::AnswerMessage message = MakeMessage();
+    crypto::XorSplitter splitter(kNumShares,
+                                 crypto::ChaCha20Rng::FromSeed(17, 5));
+    EpochArena arena;
+    std::vector<crypto::ShareView> views(kNumShares);
+    std::vector<broker::ProduceView> produce;
+    uint64_t durable_allocs = 0;
+    uint64_t memory_allocs = 0;
+    for (size_t e = 0; e <= kEpochs; ++e) {  // epoch 0 is the warm-up
+      produce.clear();
+      for (size_t i = 0; i < kAnswersPerEpoch; ++i) {
+        splitter.SplitMessageInto(message, arena, views);
+        for (const crypto::ShareView& view : views) {
+          produce.push_back(
+              broker::ProduceView{view.message_id, view.bytes(), 100});
+        }
+      }
+      const uint64_t before_durable = AllocCounter::Count();
+      durable.AppendViews(produce);
+      const uint64_t before_memory = AllocCounter::Count();
+      memory.AppendViews(produce);
+      const uint64_t after = AllocCounter::Count();
+      if (e > 0) {
+        durable_allocs += before_memory - before_durable;
+        memory_allocs += after - before_memory;
+      }
+      arena.Reset();
+    }
+    const uint64_t records = kEpochs * kAnswersPerEpoch * kNumShares;
+    ASSERT_EQ(durable.durable_stats().bytes,
+              (kEpochs + 1) * kAnswersPerEpoch * kNumShares *
+                  (24 + views[0].bytes().size()));
+    // Slack: one framing-buffer growth per partition log plus the shared
+    // routing scratch, against records/epoch = 512 that must not allocate.
+    EXPECT_LE(durable_allocs, memory_allocs + durable.num_partitions() + 1)
+        << "durable=" << durable_allocs << " memory=" << memory_allocs
+        << " over " << records << " warm records";
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // Whole-system sanity: in streaming mode the warm per-epoch allocation

@@ -135,6 +135,25 @@ TEST(DurableTopicTest, EndOffsetContinuesAcrossReopen) {
   }
 }
 
+// A durable partition hands its whole run of a batch to its log: one
+// write(2) per partition the batch touches, not one per record.
+TEST(DurableTopicTest, AppendViewsWritesOncePerPartitionRun) {
+  TempDir dir;
+  Topic topic("t", 4, TopicDurability{dir.path(), {}});
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<broker::ProduceView> views;
+  payloads.reserve(200);
+  for (uint64_t key = 0; key < 200; ++key) {
+    payloads.push_back(Payload(key, 20));
+    views.push_back(broker::ProduceView{key, payloads.back(), 5});
+  }
+  topic.AppendViews(views);
+  EXPECT_EQ(topic.durable_stats().writes, topic.num_partitions());
+  topic.Append(7, payloads[0], 5);
+  EXPECT_EQ(topic.durable_stats().writes, topic.num_partitions() + 1);
+  EXPECT_EQ(DumpTopic(topic).size(), 201u);
+}
+
 TEST(DurableTopicTest, DoubleOpenOfSameDirectoryThrows) {
   TempDir dir;
   const TopicDurability durability{dir.path(), {}};

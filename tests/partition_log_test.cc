@@ -1,9 +1,10 @@
 // Tests for the generic durable partition log (storage/partition_log.h):
 // framing round-trips, segment rotation and replay, fsync policy
 // accounting, recovery invariants (torn tails, sealed-segment corruption,
-// offset continuity), watermark retention, the directory lock, and a
-// crash-point harness that truncates the log at every byte boundary of its
-// final record.
+// offset continuity), watermark retention, the directory lock, batch
+// appends (byte-equal to one-by-one appends under every fsync policy, one
+// write(2) per segment run), and a crash-point harness that truncates the
+// log at every byte boundary of its final record and of a batch write.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -87,6 +90,37 @@ size_t CountSegmentFiles(const fs::path& dir) {
   }
   return n;
 }
+
+// Every segment file under `dir`, name -> contents.
+std::map<std::string, std::vector<uint8_t>> SegmentFiles(const fs::path& dir) {
+  std::map<std::string, std::vector<uint8_t>> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("seg-") && name.ends_with(".log")) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      files[name] = std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                                         std::istreambuf_iterator<char>());
+    }
+  }
+  return files;
+}
+
+// Owns the payloads a batch of LogRecords points into; `payloads` is
+// reserved up front so the records' spans never dangle.
+struct Batch {
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<LogRecord> records;
+
+  Batch(uint64_t first_key, size_t count, size_t base_len) {
+    payloads.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+      const uint64_t key = first_key + i;
+      payloads.push_back(Payload(key, base_len + key % 7));
+      records.push_back(LogRecord{key, payloads.back(),
+                                  static_cast<int64_t>(1000 + key)});
+    }
+  }
+};
 
 // -------------------------------------------------------------- fsync API
 
@@ -331,6 +365,160 @@ TEST(PartitionLogTest, CrashPointHarnessEveryByteOfFinalRecord) {
     const uint64_t next = log.end_offset();
     EXPECT_EQ(ReplayAll(log).size(), next);
     EXPECT_EQ(log.Append(77, 0, Payload(77, payload_len)), next);
+  }
+}
+
+// The same cut at every byte of one multi-record AppendBatch write: a crash
+// inside the batch keeps exactly the whole records before the cut and
+// counts one truncated tail for a cut inside a record.
+TEST(PartitionLogTest, CrashPointHarnessEveryByteOfBatchWrite) {
+  TempDir master;
+  const size_t before = 3;
+  const Batch batch(/*first_key=*/before, /*count=*/5, /*base_len=*/10);
+  uint64_t batch_start = 0;
+  {
+    PartitionLog log(master.path(), PartitionLogOptions{});
+    for (uint64_t i = 0; i < before; ++i) {
+      log.Append(i, static_cast<int64_t>(1000 + i), Payload(i, 10 + i % 7));
+    }
+    batch_start = log.stats().bytes;
+    const uint64_t writes = log.stats().writes;
+    EXPECT_EQ(log.AppendBatch(batch.records), before);
+    EXPECT_EQ(log.stats().writes, writes + 1) << "one write for the batch";
+  }
+  // Record boundaries inside the batch write.
+  std::vector<uint64_t> ends;
+  uint64_t at = batch_start;
+  for (const LogRecord& record : batch.records) {
+    at += 24 + record.payload.size();
+    ends.push_back(at);
+  }
+  const std::string name = "seg-00000000000000000000.log";
+  const uint64_t file_size = fs::file_size(master.path() / name);
+  ASSERT_EQ(file_size, ends.back());
+
+  for (uint64_t cut = batch_start; cut <= file_size; ++cut) {
+    TempDir scratch;
+    fs::create_directories(scratch.path());
+    fs::copy_file(master.path() / name, scratch.path() / name);
+    fs::resize_file(scratch.path() / name, cut);
+
+    size_t whole = 0;
+    while (whole < ends.size() && ends[whole] <= cut) {
+      ++whole;
+    }
+    const uint64_t boundary = whole == 0 ? batch_start : ends[whole - 1];
+    PartitionLog log(scratch.path(), PartitionLogOptions{});
+    EXPECT_EQ(log.end_offset(), before + whole) << "cut=" << cut;
+    EXPECT_EQ(log.stats().truncated_tails, cut == boundary ? 0u : 1u)
+        << "cut=" << cut;
+    EXPECT_EQ(fs::file_size(scratch.path() / name), boundary) << "cut=" << cut;
+    const std::vector<ReplayedRecord> records = ReplayAll(log);
+    ASSERT_EQ(records.size(), before + whole) << "cut=" << cut;
+    for (size_t i = 0; i < whole; ++i) {
+      const LogRecord& expected = batch.records[i];
+      const ReplayedRecord& actual = records[before + i];
+      EXPECT_EQ(actual.key, expected.key);
+      EXPECT_EQ(actual.timestamp_ms, expected.timestamp_ms);
+      EXPECT_EQ(actual.payload,
+                std::vector<uint8_t>(expected.payload.begin(),
+                                     expected.payload.end()));
+    }
+    EXPECT_EQ(log.Append(77, 0, Payload(77, 10)), before + whole);
+  }
+}
+
+// ------------------------------------------------------------ batch appends
+
+// A batch that straddles rotations must leave the same segment files (names
+// and bytes), offsets and fsync count as appending record by record, under
+// every fsync policy. Batches of uneven sizes cross segment and every-N
+// boundaries at different points.
+TEST(PartitionLogTest, AppendBatchMatchesRecordByRecordUnderEveryPolicy) {
+  for (const auto policy :
+       {FsyncPolicy::kNever, FsyncPolicy::kOnRotate,
+        FsyncPolicy::kEveryNRecords, FsyncPolicy::kAlways}) {
+    SCOPED_TRACE(FsyncPolicyName(policy));
+    PartitionLogOptions options = SmallSegments(128);
+    options.fsync = policy;
+    options.fsync_every_n = 3;
+
+    const std::vector<size_t> batch_sizes = {7, 1, 12, 0, 5};
+    std::vector<Batch> batches;
+    uint64_t key = 0;
+    for (const size_t size : batch_sizes) {
+      batches.emplace_back(key, size, /*base_len=*/12);
+      key += size;
+    }
+
+    TempDir one_by_one_dir;
+    TempDir batched_dir;
+    PartitionLog one_by_one(one_by_one_dir.path(), options);
+    PartitionLog batched(batched_dir.path(), options);
+    for (const Batch& batch : batches) {
+      const uint64_t first = one_by_one.end_offset();
+      for (const LogRecord& record : batch.records) {
+        one_by_one.Append(record.key, record.timestamp_ms, record.payload);
+      }
+      EXPECT_EQ(batched.AppendBatch(batch.records), first);
+      EXPECT_EQ(batched.end_offset(), one_by_one.end_offset());
+    }
+    ASSERT_GE(one_by_one.num_segments(), 4u)
+        << "batches must straddle rotations";
+
+    EXPECT_EQ(SegmentFiles(batched_dir.path()),
+              SegmentFiles(one_by_one_dir.path()));
+    EXPECT_EQ(batched.base_offset(), one_by_one.base_offset());
+    EXPECT_EQ(batched.num_segments(), one_by_one.num_segments());
+    const PartitionLogStats expected = one_by_one.stats();
+    const PartitionLogStats actual = batched.stats();
+    EXPECT_EQ(actual.segments, expected.segments);
+    EXPECT_EQ(actual.bytes, expected.bytes);
+    EXPECT_EQ(actual.fsyncs, expected.fsyncs);
+    EXPECT_LE(actual.writes, expected.writes);
+    if (policy != FsyncPolicy::kAlways) {
+      EXPECT_LT(actual.writes, expected.writes);
+    }
+  }
+}
+
+TEST(PartitionLogTest, HundredRecordBatchIsOneWrite) {
+  TempDir dir;
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  const Batch batch(/*first_key=*/0, /*count=*/100, /*base_len=*/40);
+  EXPECT_EQ(log.AppendBatch(batch.records), 0u);
+  EXPECT_EQ(log.end_offset(), 100u);
+  EXPECT_EQ(log.stats().writes, 1u);
+  EXPECT_EQ(log.stats().fsyncs, 0u);
+  EXPECT_EQ(ReplayAll(log).size(), 100u);
+  // An empty batch writes nothing and assigns nothing.
+  EXPECT_EQ(log.AppendBatch({}), 100u);
+  EXPECT_EQ(log.stats().writes, 1u);
+}
+
+// Pending frames reach the disk before every fsync the policy pays for:
+// every_n_records writes up to the Nth record, then fsyncs; always writes
+// and fsyncs each record.
+TEST(PartitionLogTest, BatchWritesBeforeEachPolicyFsync) {
+  const Batch batch(/*first_key=*/0, /*count=*/7, /*base_len=*/16);
+  {
+    TempDir dir;
+    PartitionLogOptions options;
+    options.fsync = FsyncPolicy::kEveryNRecords;
+    options.fsync_every_n = 3;
+    PartitionLog log(dir.path(), options);
+    log.AppendBatch(batch.records);
+    EXPECT_EQ(log.stats().fsyncs, 2u);  // after records 3 and 6
+    EXPECT_EQ(log.stats().writes, 3u);  // records 1-3, 4-6, 7
+  }
+  {
+    TempDir dir;
+    PartitionLogOptions options;
+    options.fsync = FsyncPolicy::kAlways;
+    PartitionLog log(dir.path(), options);
+    log.AppendBatch(batch.records);
+    EXPECT_EQ(log.stats().fsyncs, 7u);
+    EXPECT_EQ(log.stats().writes, 7u);
   }
 }
 

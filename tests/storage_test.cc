@@ -1,4 +1,4 @@
-// Tests for CRC32 and the durable historical answer store: answers appended
+// Tests for CRC32 (slicing-by-8 against a bytewise reference) and the durable historical answer store: answers appended
 // to a storage::PartitionLog (aggregator/historical.h) round-trip, filter by
 // time range, survive rotation, reopen and a torn tail, and a record whose
 // payload lies about its bit count is rejected.
@@ -64,6 +64,58 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   uint32_t incremental = Crc32(data, 10);
   incremental = Crc32Update(incremental, data + 10, sizeof(data) - 1 - 10);
   EXPECT_EQ(incremental, whole);
+}
+
+// Bitwise CRC-32 over the reflected IEEE polynomial: the definition the
+// slicing-by-8 tables must reproduce.
+uint32_t ReferenceCrc32(uint32_t crc, const uint8_t* data, size_t len) {
+  crc = ~crc;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> PseudoRandomBytes(size_t len, uint32_t seed) {
+  std::vector<uint8_t> bytes(len);
+  std::mt19937 rng(seed);
+  for (uint8_t& byte : bytes) {
+    byte = static_cast<uint8_t>(rng());
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // 8 bytes of slack so every (offset, length) pair stays in bounds.
+  const std::vector<uint8_t> buffer = PseudoRandomBytes(64 + 8, 1);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const uint8_t* data = buffer.data() + offset;
+      EXPECT_EQ(Crc32(data, len), ReferenceCrc32(0, data, len))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32Test, IncrementalSplitAtEveryPointMatchesReference) {
+  const std::vector<uint8_t> buffer = PseudoRandomBytes(64, 2);
+  const uint32_t expected = ReferenceCrc32(0, buffer.data(), buffer.size());
+  for (size_t split = 0; split <= buffer.size(); ++split) {
+    const uint32_t head = Crc32(buffer.data(), split);
+    EXPECT_EQ(head, ReferenceCrc32(0, buffer.data(), split));
+    EXPECT_EQ(Crc32Update(head, buffer.data() + split, buffer.size() - split),
+              expected)
+        << "split=" << split;
+  }
+}
+
+TEST(Crc32Test, OneMebibyteBufferMatchesReference) {
+  const std::vector<uint8_t> buffer = PseudoRandomBytes(1 << 20, 3);
+  EXPECT_EQ(Crc32(buffer.data(), buffer.size()),
+            ReferenceCrc32(0, buffer.data(), buffer.size()));
 }
 
 TEST(Crc32Test, DetectsBitFlips) {
